@@ -104,7 +104,6 @@ struct BenchConfig {
     checkpoint_interval: usize,
     seed: u64,
     loops: usize,
-    replica_budget: usize,
     drivers: usize,
     combining: bool,
     sweep: bool,
@@ -129,11 +128,6 @@ impl Default for BenchConfig {
             checkpoint_interval: 64,
             seed: 0xBE7,
             loops: 0,
-            // The bench default keeps every connection on the per-loop
-            // combiner replicas: at bench scale an exclusive replica
-            // per connection would put replica count — not the network
-            // path — on the measured critical path.
-            replica_budget: 0,
             drivers: 0,
             combining: false,
             sweep: false,
@@ -478,8 +472,8 @@ fn connect_fleet(addr: SocketAddr, want: usize) -> Vec<NetClient> {
 }
 
 /// One full arm: store + reactor server + closed-loop clients + drain +
-/// verify over the server's retired replicas (exclusive leases and
-/// loop combiners alike).
+/// verify over the server's retired replicas (one per event loop that
+/// served).
 fn run_arm(
     cfg: &BenchConfig,
     backend: Backend,
@@ -529,7 +523,6 @@ fn run_arm(
         ServerConfig {
             max_connections: connections + 16,
             loops: cfg.loops,
-            replica_budget: cfg.replica_budget,
             ..ServerConfig::default()
         },
     )
@@ -608,8 +601,8 @@ fn usage() -> ! {
         "usage: netbench [--connections N] [--shards N] [--secs S] [--batch N]\n\
          \x20              [--read-pct P] [--keyspace N] [--fault-rate R]\n\
          \x20              [--checkpoint-interval N] [--seed N] [--loops N]\n\
-         \x20              [--replica-budget N] [--drivers N] [--combining]\n\
-         \x20              [--backend NAME] [--sweep] [--skip-naive] [--json-out PATH]\n\
+         \x20              [--drivers N] [--combining] [--backend NAME]\n\
+         \x20              [--sweep] [--skip-naive] [--json-out PATH]\n\
          \x20              [--data-dir DIR] [--group-commit N] [--recover]"
     );
     std::process::exit(2);
@@ -660,11 +653,6 @@ fn main() {
             }
             "--seed" => cfg.seed = parse_seed(&value("--seed")).unwrap_or_else(|| usage()),
             "--loops" => cfg.loops = value("--loops").parse().unwrap_or_else(|_| usage()),
-            "--replica-budget" => {
-                cfg.replica_budget = value("--replica-budget")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
             "--drivers" => cfg.drivers = value("--drivers").parse().unwrap_or_else(|_| usage()),
             "--combining" => cfg.combining = true,
             "--sweep" => cfg.sweep = true,
@@ -775,10 +763,6 @@ fn main() {
                 ("fault_rate".into(), JsonValue::Number(cfg.fault_rate)),
                 ("seed".into(), JsonValue::Number(cfg.seed as f64)),
                 ("loops".into(), JsonValue::Number(cfg.loops as f64)),
-                (
-                    "replica_budget".into(),
-                    JsonValue::Number(cfg.replica_budget as f64),
-                ),
                 ("combining".into(), JsonValue::Bool(cfg.combining)),
                 ("sweep".into(), JsonValue::Bool(cfg.sweep)),
                 (

@@ -3,7 +3,7 @@
 //! Same claim as E15 — robust shards stay consistent under live
 //! functional faults, naive shards diverge — but every operation now
 //! crosses a real TCP connection, the server's burst batching, and a
-//! per-connection replica set, while the fault knobs are **ramped
+//! per-loop replica set, while the fault knobs are **ramped
 //! live** during the run. The workload loop is byte-for-byte the one
 //! the in-process soak runs ([`drive_clients`] over [`Kv`]); only the
 //! client type differs. Divergence additionally has to survive the
@@ -38,8 +38,7 @@ struct ArmOutcome {
 
 /// One soak arm: store + server + `connections` TCP clients driven to
 /// `deadline`, then a drain and a full verify over the server's
-/// retired replicas (per-connection exclusives and loop combiners
-/// alike).
+/// retired replicas (one per event loop that served).
 fn run_arm(
     backend: Backend,
     secs: f64,
@@ -87,7 +86,7 @@ fn run_arm(
     }
     let divergence_seen_remotely = outcome.divergence_errors() > 0;
     let client_errors: Vec<String> = outcome.errors.iter().map(|e| e.to_string()).collect();
-    drop(outcome.clients); // hang up; handlers retire their replicas
+    drop(outcome.clients); // hang up before the drain
     let mut report = server.shutdown();
     let consistency = store.verify(&mut report.clients);
     ArmOutcome {
@@ -191,25 +190,24 @@ impl Experiment for E16NetSoak {
 }
 
 /// E17: the E16 claim through the reactor's hard paths — more
-/// connections than the replica budget, so operations from different
-/// clients coalesce onto shared per-loop combiner replicas while the
-/// fault knobs ramp live.
+/// connections than event loops, so operations from different clients
+/// coalesce onto each loop's one replica while the fault knobs ramp
+/// live.
 pub struct E17ReactorSoak;
 
 /// A server shape that forces every reactor mechanism at once: two
-/// event loops, a replica budget below the connection count (mixed
-/// exclusive/shared leases → every merged run executes on a loop
-/// combiner), and the default backpressure bounds.
+/// event loops (two replicas contending on every shard), more
+/// connections than loops (every merged run crosses connections), and
+/// the default backpressure bounds.
 fn reactor_config() -> ServerConfig {
     ServerConfig {
         max_connections: 32,
         loops: 2,
-        replica_budget: 4,
         ..ServerConfig::default()
     }
 }
 
-/// Connections per E17 arm — deliberately past `replica_budget`.
+/// Connections per E17 arm — four per event loop.
 const E17_CONNECTIONS: usize = 8;
 
 impl Experiment for E17ReactorSoak {
@@ -218,12 +216,12 @@ impl Experiment for E17ReactorSoak {
     }
 
     fn title(&self) -> &'static str {
-        "Reactor soak: cross-connection batching on shared replicas under live fault ramps"
+        "Reactor soak: cross-connection batching on per-loop replicas under live fault ramps"
     }
 
     fn run(&self) -> ExperimentResult {
         let mut table = Table::new(
-            "Reactor soak (8 connections, 2 loops, replica budget 4, ramped fault rate 0→0.5→0)",
+            "Reactor soak (8 connections, 2 loops, ramped fault rate 0→0.5→0)",
             &[
                 "backend",
                 "ops served",
@@ -293,9 +291,9 @@ impl Experiment for E17ReactorSoak {
             ));
         }
         notes.push(
-            "8 connections share 4 exclusive replicas + per-loop combiners, so every \
-             merged run crosses connection boundaries; divergence still arrives as a \
-             typed error frame, never as data"
+            "8 connections share 2 per-loop replicas, so every merged run crosses \
+             connection boundaries; divergence still arrives as a typed error frame, \
+             never as data"
                 .to_string(),
         );
 

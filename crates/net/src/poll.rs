@@ -43,7 +43,7 @@ pub(crate) struct PollSource<'a> {
     pub interest: Interest,
 }
 
-/// Per-source readiness verdict filled in by [`Poller::poll`].
+/// Per-source readiness verdict filled in by [`ScanPoller::poll`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Readiness {
     /// A read would make progress (data buffered, EOF, or a pending
@@ -52,21 +52,6 @@ pub(crate) struct Readiness {
     /// A write should be attempted. Under the attempted-write model
     /// this is advisory: the write itself is the real probe.
     pub writable: bool,
-}
-
-/// The small poll abstraction the reactor runs on. One implementation
-/// today ([`ScanPoller`]); the seam exists so an `epoll`-backed poller
-/// could slot in if the no-`unsafe` constraint is ever lifted.
-pub(crate) trait Poller {
-    /// Fill `out[i]` with the readiness of `sources[i]`, waiting up to
-    /// `timeout` when nothing is ready. Returns how many sources are
-    /// ready. `out` must be at least as long as `sources`.
-    fn poll(
-        &mut self,
-        sources: &[PollSource<'_>],
-        out: &mut [Readiness],
-        timeout: Duration,
-    ) -> usize;
 }
 
 /// Smallest idle sleep; doubles per all-quiet scan.
@@ -118,10 +103,11 @@ impl ScanPoller {
         }
         ready
     }
-}
 
-impl Poller for ScanPoller {
-    fn poll(
+    /// Fill `out[i]` with the readiness of `sources[i]`, waiting up to
+    /// `timeout` when nothing is ready. Returns how many sources are
+    /// ready. `out` must be at least as long as `sources`.
+    pub fn poll(
         &mut self,
         sources: &[PollSource<'_>],
         out: &mut [Readiness],

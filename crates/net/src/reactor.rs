@@ -6,9 +6,8 @@
 //! # One tick
 //!
 //! 1. **Admit** — drain this loop's inbox of freshly accepted,
-//!    already-nonblocking sockets; grant each a replica lease
-//!    (exclusive [`StoreClient`] within the budget, shared combiner
-//!    beyond it) and a [`Session`] around pooled buffers.
+//!    already-nonblocking sockets; give each a [`Session`] around
+//!    pooled buffers.
 //! 2. **Poll** — probe read readiness for every open, unpaused
 //!    connection; connections with unflushed responses bound the wait.
 //! 3. **Read** — pull up to 16 KiB per readable connection straight
@@ -23,11 +22,8 @@
 //!    length-prefixed framing cannot resync.
 //! 5. **Execute** — the merged run goes through one
 //!    [`Kv::batch`](ff_store::Kv::batch) call: one log pass per
-//!    touched shard for the whole tick, across connections. If every
-//!    contributor holds an exclusive lease the first contributor's
-//!    replica executes it (so small fleets keep exactly the old
-//!    per-connection replica graveyard); otherwise the loop's
-//!    lazily-minted combiner does.
+//!    touched shard for the whole tick, across connections, on the
+//!    loop's one [`StoreClient`] — minted on the loop's first run.
 //! 6. **Resolve** — each session encodes its slots' responses into its
 //!    output buffer, in per-connection request order. A run error
 //!    (divergence poisons the shard set; nothing partial is usable)
@@ -35,12 +31,11 @@
 //! 7. **Flush** — attempted-write model: write until `WouldBlock`,
 //!    killing peers stalled past the write timeout.
 //! 8. **Reap** — dead connections return their session's buffers to
-//!    the pool, retire exclusive replicas to the graveyard, release
-//!    their lease and drop the active count.
+//!    the pool and drop the active count.
 //!
 //! On shutdown a loop runs one final stage/execute/flush pass over
 //! everything already buffered — bounded by the write timeout — then
-//! retires every lease, including the combiner.
+//! retires its client into the graveyard.
 //!
 //! Everything between the socket reads and the socket writes — frame
 //! decoding, staging, validation, response encoding — lives in
@@ -58,7 +53,7 @@ use ff_store::{Kv, KvOp, StoreClient, StoreError};
 use parking_lot::Mutex;
 
 use crate::buffer::BufferPool;
-use crate::poll::{Interest, PollSource, Poller, Readiness, ScanPoller};
+use crate::poll::{Interest, PollSource, Readiness, ScanPoller};
 use crate::server::{stats, Shared};
 use crate::session::Session;
 use crate::wire::ErrorCode;
@@ -82,15 +77,6 @@ pub(crate) struct LoopShared {
     pub(crate) inbox: Mutex<Vec<TcpStream>>,
 }
 
-/// How a connection reaches the store.
-enum Lease {
-    /// A private replica set, retired to the graveyard on close —
-    /// the old thread-per-connection semantics.
-    Exclusive(StoreClient),
-    /// Operations execute on the loop's shared combiner replica.
-    Shared,
-}
-
 /// One nonblocking connection's state: the IO shell (socket, write
 /// cursor, deadlines) around its protocol [`Session`].
 struct Conn {
@@ -98,7 +84,6 @@ struct Conn {
     session: Session,
     /// Bytes of the session's output already written to the socket.
     wpos: usize,
-    lease: Lease,
     /// Peer half-closed; serve what's buffered, flush, then close.
     eof: bool,
     /// Reap this connection at the end of the tick.
@@ -129,7 +114,7 @@ pub(crate) fn event_loop(shared: Arc<Shared>, index: usize) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut pool = BufferPool::new();
     let mut poller = ScanPoller::new();
-    let mut combiner: Option<StoreClient> = None;
+    let mut client: Option<StoreClient> = None;
     let mut scratch = Scratch {
         run_ops: Vec::new(),
         readiness: Vec::new(),
@@ -138,9 +123,9 @@ pub(crate) fn event_loop(shared: Arc<Shared>, index: usize) {
     loop {
         admit(&shared, index, &mut conns, &mut pool);
         if shared.shutdown.load(Ordering::SeqCst) {
-            drain_all(&shared, conns, &mut combiner, &mut scratch);
-            if let Some(c) = combiner.take() {
-                shared.retired.lock().push(c);
+            drain_all(&shared, conns, &mut client, &mut scratch);
+            if let Some(client) = client {
+                shared.retired.lock().push(client);
             }
             return;
         }
@@ -149,7 +134,7 @@ pub(crate) fn event_loop(shared: Arc<Shared>, index: usize) {
             &mut conns,
             &mut pool,
             &mut poller,
-            &mut combiner,
+            &mut client,
             &mut scratch,
         );
     }
@@ -168,7 +153,6 @@ fn admit(shared: &Shared, index: usize, conns: &mut Vec<Conn>, pool: &mut Buffer
             stream,
             session: Session::from_parts(pool.take_read(), pool.take_write()),
             wpos: 0,
-            lease: grant_lease(shared),
             eof: false,
             dead: false,
             write_deadline: None,
@@ -176,33 +160,12 @@ fn admit(shared: &Shared, index: usize, conns: &mut Vec<Conn>, pool: &mut Buffer
     }
 }
 
-/// Exclusive replica within the budget (and while pid space lasts),
-/// shared combiner beyond it.
-fn grant_lease(shared: &Shared) -> Lease {
-    let budget = shared.config.replica_budget;
-    let granted = shared
-        .exclusive_leases
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-            (n < budget).then_some(n + 1)
-        })
-        .is_ok();
-    if granted {
-        match shared.store.try_client() {
-            Some(client) => return Lease::Exclusive(client),
-            None => {
-                shared.exclusive_leases.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-    }
-    Lease::Shared
-}
-
 fn tick(
     shared: &Shared,
     conns: &mut Vec<Conn>,
     pool: &mut BufferPool,
     poller: &mut ScanPoller,
-    combiner: &mut Option<StoreClient>,
+    client: &mut Option<StoreClient>,
     scratch: &mut Scratch,
 ) {
     // Poll: read interest for open unpaused connections; write
@@ -252,7 +215,7 @@ fn tick(
         }
     }
 
-    serve_buffered(shared, conns, combiner, scratch, false);
+    serve_buffered(shared, conns, client, scratch, false);
 
     for c in conns.iter_mut() {
         flush(c, shared);
@@ -274,16 +237,14 @@ fn tick(
 fn serve_buffered(
     shared: &Shared,
     conns: &mut [Conn],
-    combiner: &mut Option<StoreClient>,
+    client: &mut Option<StoreClient>,
     scratch: &mut Scratch,
     ignore_pause: bool,
 ) {
     scratch.run_ops.clear();
-    let mut all_exclusive = true;
-    let mut leader: Option<usize> = None;
     let mut immediate = 0u64;
     let mut staged = 0u64;
-    for (i, c) in conns.iter_mut().enumerate() {
+    for c in conns.iter_mut() {
         // Closing sessions stage nothing themselves (the session
         // early-returns); paused connections wait for their peer.
         if c.dead || (!ignore_pause && c.paused()) {
@@ -292,16 +253,6 @@ fn serve_buffered(
         let summary = c.session.stage(&mut scratch.run_ops);
         immediate += summary.immediate;
         staged += summary.staged;
-        if summary.contributed {
-            match c.lease {
-                Lease::Exclusive(_) => {
-                    if leader.is_none() {
-                        leader = Some(i);
-                    }
-                }
-                Lease::Shared => all_exclusive = false,
-            }
-        }
     }
     if immediate > 0 {
         shared.ops_served.fetch_add(immediate, Ordering::Relaxed);
@@ -309,13 +260,7 @@ fn serve_buffered(
     let outcome = if scratch.run_ops.is_empty() {
         None
     } else {
-        let result = execute_run(
-            shared,
-            conns,
-            leader.filter(|_| all_exclusive),
-            combiner,
-            &scratch.run_ops,
-        );
+        let result = execute_run(shared, client, &scratch.run_ops);
         if result.is_ok() {
             shared
                 .ops_served
@@ -346,30 +291,23 @@ fn serve_buffered(
     }
 }
 
-/// Run the merged operations through one replica: the first
-/// contributor's exclusive client when every contributor is exclusive
-/// (keeping the per-connection graveyard exact for small fleets), the
-/// loop combiner otherwise.
+/// Run the merged operations on the loop's client, minting it on the
+/// loop's first run. Minting lazily keeps idle loops out of the store:
+/// on an uncombined store every client is a replica whose watermark
+/// pins log truncation until it executes.
 fn execute_run(
     shared: &Shared,
-    conns: &mut [Conn],
-    leader: Option<usize>,
-    combiner: &mut Option<StoreClient>,
+    client: &mut Option<StoreClient>,
     ops: &[KvOp],
 ) -> Result<Vec<Option<u32>>, StoreError> {
-    if let Some(i) = leader {
-        if let Lease::Exclusive(client) = &mut conns[i].lease {
-            return client.batch(ops);
-        }
-    }
-    let client = match combiner {
+    let client = match client {
         Some(client) => client,
         None => match shared.store.try_client() {
-            Some(client) => combiner.insert(client),
+            Some(minted) => client.insert(minted),
             None => {
                 return Err(StoreError::Server {
                     code: ErrorCode::Internal as u8,
-                    message: "replica id space exhausted; cannot mint a combiner".to_string(),
+                    message: "replica id space exhausted; cannot mint a client".to_string(),
                 })
             }
         },
@@ -423,13 +361,9 @@ fn flush(c: &mut Conn, shared: &Shared) {
     }
 }
 
-/// Retire a finished connection: replica to the graveyard, buffers to
-/// the pool, lease and active slot released.
+/// Retire a finished connection: buffers to the pool, active slot
+/// released.
 fn reap(c: Conn, shared: &Shared, pool: &mut BufferPool) {
-    if let Lease::Exclusive(client) = c.lease {
-        shared.retired.lock().push(client);
-        shared.exclusive_leases.fetch_sub(1, Ordering::SeqCst);
-    }
     let (rbuf, wbuf) = c.session.into_parts();
     pool.put_read(rbuf);
     pool.put_write(wbuf);
@@ -438,15 +372,15 @@ fn reap(c: Conn, shared: &Shared, pool: &mut BufferPool) {
 
 /// The shutdown drain: one final serve pass over everything already
 /// buffered (backpressured connections included), a bounded flush, and
-/// then every lease retires. In-flight requests drain; nothing new is
-/// read.
+/// then every connection closes. In-flight requests drain; nothing new
+/// is read.
 fn drain_all(
     shared: &Shared,
     mut conns: Vec<Conn>,
-    combiner: &mut Option<StoreClient>,
+    client: &mut Option<StoreClient>,
     scratch: &mut Scratch,
 ) {
-    serve_buffered(shared, &mut conns, combiner, scratch, true);
+    serve_buffered(shared, &mut conns, client, scratch, true);
     let deadline = Instant::now() + shared.config.write_timeout;
     loop {
         let mut pending = false;
@@ -461,12 +395,7 @@ fn drain_all(
         }
         std::thread::sleep(Duration::from_micros(500));
     }
-    let mut retired = shared.retired.lock();
-    for c in conns {
-        if let Lease::Exclusive(client) = c.lease {
-            retired.push(client);
-            shared.exclusive_leases.fetch_sub(1, Ordering::SeqCst);
-        }
-        shared.active.fetch_sub(1, Ordering::SeqCst);
-    }
+    shared
+        .active
+        .fetch_sub(conns.len() as u32, Ordering::SeqCst);
 }

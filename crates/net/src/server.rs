@@ -12,18 +12,16 @@
 //! consensus construction, and `std::net` plus a handful of threads
 //! keeps the service layer auditable.
 //!
-//! # Replica leases
+//! # One client per loop
 //!
-//! The old thread-per-connection server gave every connection a
-//! private [`StoreClient`] — a full replica set whose apply cost grows
-//! with the number of replicas, and whose 10-bit pid space caps out at
-//! 1023 clients. The reactor makes that a **lease**: the first
-//! [`ServerConfig::replica_budget`] connections get an exclusive
-//! client (preserving the old semantics for small fleets, and the
-//! graveyard the shutdown tests verify), and connections beyond the
-//! budget share one lazily-minted **combiner** client per loop. Either
-//! way every replica that served traffic retires into the graveyard
-//! for [`Store::verify`].
+//! Connections do not own store clients. Each event loop executes
+//! every merged run on its one [`StoreClient`], so a server holds at
+//! most one client per loop however many connections it serves. A
+//! loop mints its client on its first run, not at start: on
+//! an uncombined store every client is a replica whose watermark pins
+//! log truncation, and an idle loop's replica would never advance.
+//! Every client that served traffic retires into the graveyard for
+//! [`Store::verify`].
 //!
 //! # Pipelining and cross-connection batching
 //!
@@ -55,8 +53,8 @@
 //! [`NetServer::begin_shutdown`]) flips a flag; each loop notices
 //! within one poll tick, stops reading, serves the complete frames it
 //! had already buffered (in-flight requests drain rather than vanish),
-//! flushes within the write timeout, and retires every leased replica
-//! into the graveyard. The returned [`ServerReport`] hands those
+//! flushes within the write timeout, and retires its client into the
+//! graveyard. The returned [`ServerReport`] hands those
 //! clients back so a harness can run [`Store::verify`] over *exactly*
 //! the replicas that served traffic. Nothing on the shutdown path
 //! panics: thread failures surface as typed [`ShutdownError`]s in the
@@ -64,7 +62,7 @@
 
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -91,12 +89,6 @@ pub struct ServerConfig {
     /// Event loops (worker threads). `0` means auto: one per available
     /// core, clamped to at most 8.
     pub loops: usize,
-    /// How many connections get an **exclusive** [`StoreClient`]
-    /// replica before later ones share a per-loop combiner client.
-    /// The default keeps the old one-replica-per-connection semantics
-    /// for small fleets; benches scaling to thousands of connections
-    /// set it to 0 so apply cost stays flat.
-    pub replica_budget: usize,
 }
 
 impl Default for ServerConfig {
@@ -106,7 +98,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_millis(50),
             write_timeout: Duration::from_secs(2),
             loops: 0,
-            replica_budget: 64,
         }
     }
 }
@@ -120,8 +111,8 @@ pub enum ShutdownError {
     /// The accept thread panicked; its panic payload is lost but every
     /// connection it had already pinned to a loop still drains.
     AcceptorPanicked,
-    /// Event loop `index` panicked; its connections' replicas may be
-    /// missing from the graveyard.
+    /// Event loop `index` panicked; its client may be missing from the
+    /// graveyard.
     LoopPanicked {
         /// Which loop died.
         index: usize,
@@ -162,10 +153,7 @@ pub(crate) struct Shared {
     pub(crate) max_run_ops: AtomicU32,
     /// Request frames staged for a response across all serve passes.
     pub(crate) frames_staged: AtomicU64,
-    /// Exclusive replica leases currently held by live connections;
-    /// bounded by `config.replica_budget`.
-    pub(crate) exclusive_leases: AtomicUsize,
-    /// Clients of finished connections, kept for post-shutdown
+    /// Clients of drained event loops, kept for post-shutdown
     /// verification.
     pub(crate) retired: Mutex<Vec<StoreClient>>,
     /// One inbox per event loop; the acceptor pins connections here.
@@ -184,9 +172,8 @@ pub struct NetServer {
 
 /// What a drained server hands back.
 pub struct ServerReport {
-    /// Every replica client that served traffic — per-connection
-    /// exclusives and per-loop combiners alike, each caught up on what
-    /// it executed — feed them to [`Store::verify`].
+    /// One client per event loop that served traffic, each caught up
+    /// on what it executed — feed them to [`Store::verify`].
     pub clients: Vec<StoreClient>,
     /// Requests served over the server's lifetime.
     pub ops_served: u64,
@@ -217,7 +204,6 @@ impl NetServer {
             run_ops: AtomicU64::new(0),
             max_run_ops: AtomicU32::new(0),
             frames_staged: AtomicU64::new(0),
-            exclusive_leases: AtomicUsize::new(0),
             retired: Mutex::new(Vec::new()),
             loops: (0..nloops).map(|_| LoopShared::default()).collect(),
         });

@@ -56,8 +56,6 @@ struct Slot {
 /// What one [`Session::stage`] pass did, for the driver's accounting.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageSummary {
-    /// This session contributed operations to the merged run.
-    pub contributed: bool,
     /// Frames answered without a store trip (STATS, PING, empty BATCH).
     pub immediate: u64,
     /// Response slots staged (every complete frame stages exactly one).
@@ -162,16 +160,13 @@ impl Session {
                     let id = frame.id;
                     match frame.req {
                         RequestRef::Get { key } => {
-                            summary.contributed |=
-                                stage_op(id, KvOp::Get(key), run_ops, &mut self.slots);
+                            stage_op(id, KvOp::Get(key), run_ops, &mut self.slots);
                         }
                         RequestRef::Put { key, value } => {
-                            summary.contributed |=
-                                stage_op(id, KvOp::Put(key, value), run_ops, &mut self.slots);
+                            stage_op(id, KvOp::Put(key, value), run_ops, &mut self.slots);
                         }
                         RequestRef::Del { key } => {
-                            summary.contributed |=
-                                stage_op(id, KvOp::Del(key), run_ops, &mut self.slots);
+                            stage_op(id, KvOp::Del(key), run_ops, &mut self.slots);
                         }
                         RequestRef::Batch(b) if b.is_empty() => {
                             // Nothing to execute: answer now. Joining
@@ -194,7 +189,6 @@ impl Session {
                                     id,
                                     kind: SlotKind::Batch { off, n: b.len() },
                                 });
-                                summary.contributed = true;
                             }
                             // A batch either joins the run whole or is
                             // rejected whole — same contract as
@@ -280,7 +274,7 @@ impl Session {
 
 /// Stage one coalescible single-op frame: into the merged run if it
 /// validates, an immediate typed error slot if not.
-fn stage_op(id: u32, op: KvOp, run_ops: &mut Vec<KvOp>, slots: &mut Vec<Slot>) -> bool {
+fn stage_op(id: u32, op: KvOp, run_ops: &mut Vec<KvOp>, slots: &mut Vec<Slot>) {
     match validate(op) {
         Ok(()) => {
             slots.push(Slot {
@@ -288,15 +282,11 @@ fn stage_op(id: u32, op: KvOp, run_ops: &mut Vec<KvOp>, slots: &mut Vec<Slot>) -
                 kind: SlotKind::Single { off: run_ops.len() },
             });
             run_ops.push(op);
-            true
         }
-        Err(e) => {
-            slots.push(Slot {
-                id,
-                kind: SlotKind::Ready(error_response(&e)),
-            });
-            false
-        }
+        Err(e) => slots.push(Slot {
+            id,
+            kind: SlotKind::Ready(error_response(&e)),
+        }),
     }
 }
 
@@ -363,7 +353,6 @@ mod tests {
         s.ingest(&wire);
         let mut run = Vec::new();
         let sum = s.stage(&mut run);
-        assert!(sum.contributed);
         assert_eq!(sum.immediate, 1);
         assert_eq!(sum.staged, 3);
         assert_eq!(run, vec![KvOp::Put(4, 9), KvOp::Get(4)]);
@@ -416,9 +405,12 @@ mod tests {
         encode_request(&mut wire, 2, &Request::Get { key: 3 });
         s.ingest(&wire);
         let mut run = Vec::new();
-        let sum = s.stage(&mut run);
-        assert!(sum.contributed, "valid op after an invalid one was dropped");
-        assert_eq!(run, vec![KvOp::Get(3)]);
+        s.stage(&mut run);
+        assert_eq!(
+            run,
+            vec![KvOp::Get(3)],
+            "valid op after an invalid one was dropped"
+        );
         let outcome = Ok(vec![None]);
         s.resolve(Some(&outcome), &StatsReply::default());
         let frames = drain_responses(s.output());
@@ -439,8 +431,8 @@ mod tests {
         // unrecoverable garbage.
         s.ingest(&[0xff, 0xff, 0xff, 0xff, 1, 2, 3]);
         let mut run = Vec::new();
-        let sum = s.stage(&mut run);
-        assert!(!sum.contributed);
+        s.stage(&mut run);
+        assert!(run.is_empty());
         assert!(s.closing());
         s.resolve(None, &StatsReply::default());
         let frames = drain_responses(s.output());

@@ -201,9 +201,17 @@ fn naive_backend_surfaces_divergence_error_not_wrong_data() {
             .seed(0xD1E ^ seed)
             .build()
             .unwrap();
-        let (store, server) = serve(config, ServerConfig::default());
-        // Junk decisions need contention to become observable — drive
-        // three concurrent connections, exactly like the soak does.
+        // Junk decisions need contention to become observable, and
+        // proposers contend only across event loops (each loop serves
+        // through one client): pin two loops whatever the core count,
+        // and drive three concurrent connections like the soak does.
+        let (store, server) = serve(
+            config,
+            ServerConfig {
+                loops: 2,
+                ..ServerConfig::default()
+            },
+        );
         let clients: Vec<NetClient> = (0..3)
             .map(|_| NetClient::connect(server.addr()).unwrap())
             .collect();
@@ -393,7 +401,10 @@ fn graceful_shutdown_retires_every_replica_for_verification() {
             .checkpoint_interval(16)
             .build()
             .unwrap(),
-        ServerConfig::default(),
+        ServerConfig {
+            loops: 1,
+            ..ServerConfig::default()
+        },
     );
 
     // Drive the server through the same generic loop the soak uses.
@@ -426,9 +437,64 @@ fn graceful_shutdown_retires_every_replica_for_verification() {
     let mut report = server.shutdown();
     assert_eq!(
         report.clients.len(),
-        3,
-        "every connection retires its replica"
+        1,
+        "the one event loop retires its one client"
     );
     assert!(report.ops_served >= driven);
+    assert!(store.verify(&mut report.clients).all_consistent());
+}
+
+/// Every replica the server holds has to advance, or it pins log
+/// truncation: on an uncombined store a replica's watermark only moves
+/// when that replica executes. A loop that serves every merged run on
+/// its one client keeps the retained log within the checkpoint bound
+/// however many connections feed it.
+#[test]
+fn uncombined_store_keeps_retained_log_bounded_under_several_connections() {
+    const INTERVAL: usize = 64;
+    let (store, server) = serve(
+        StoreConfig::builder()
+            .shards(2)
+            .backend(Backend::robust())
+            .fault_rate(0.2)
+            .rotate_kinds(true)
+            .checkpoint_interval(INTERVAL)
+            .build()
+            .unwrap(),
+        ServerConfig {
+            loops: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let clients: Vec<NetClient> = (0..3)
+        .map(|_| NetClient::connect(server.addr()).unwrap())
+        .collect();
+    let metrics = StoreMetrics::default();
+    let mix = WorkloadMix {
+        read_pct: 40,
+        keyspace: 128,
+        seed: 0x7E7A,
+        batch: 4,
+    };
+    let mut peak = 0;
+    let outcome = drive_clients(
+        clients,
+        &mix,
+        Instant::now() + Duration::from_secs(1),
+        &metrics,
+        || peak = peak.max(store.max_retained_len()),
+    );
+    assert!(
+        outcome.errors.is_empty(),
+        "robust backend must not error: {:?}",
+        outcome.errors
+    );
+    assert!(metrics.batches.count() > 0);
+    drop(outcome.clients);
+    let mut report = server.shutdown();
+    assert!(
+        peak <= 2 * INTERVAL,
+        "retained log peaked at {peak} slots against a checkpoint interval of {INTERVAL}"
+    );
     assert!(store.verify(&mut report.clients).all_consistent());
 }
