@@ -45,8 +45,8 @@ use ff_net::client::response_error;
 use ff_net::wire::{Request, Response};
 use ff_net::{NetClient, NetServer, ServerConfig};
 use ff_store::{
-    drive_clients, Backend, DurabilityConfig, KvOp, MetricsSnapshot, Store, StoreConfig,
-    StoreError, StoreMetrics, WorkloadMix, KV_MAX,
+    drive_clients, Backend, DurabilityConfig, KvOp, MetricsSnapshot, OpStream, Store, StoreConfig,
+    StoreError, StoreMetrics, WorkloadMix,
 };
 use ff_workload::JsonValue;
 
@@ -253,37 +253,12 @@ impl ArmReport {
 // Multiplexed driver
 // ---------------------------------------------------------------------------
 
-/// SplitMix64 — the same generator the soak workers use, so the two
-/// drivers issue statistically identical workloads.
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Mirrors the soak's operation mix: `read_pct` gets, the remainder
-/// split 2:1 between puts and dels.
-fn random_op(rng: &mut u64, keyspace: u32, read_pct: u32) -> KvOp {
-    let r = mix(rng);
-    let key = (r >> 32) as u32 % keyspace;
-    let dice = (r % 100) as u32;
-    if dice < read_pct {
-        KvOp::Get(key)
-    } else if dice < read_pct + (100 - read_pct) * 2 / 3 {
-        KvOp::Put(key, (r as u32) & KV_MAX)
-    } else {
-        KvOp::Del(key)
-    }
-}
-
 /// One driven connection: its client, its private workload stream, and
 /// the first error that retired it (errors are sticky, like the soak's
 /// workers — hammering a diverged shard teaches nothing).
 struct Lane {
     client: NetClient,
-    rng: u64,
+    stream: OpStream,
     error: Option<StoreError>,
 }
 
@@ -317,13 +292,11 @@ fn drive_multiplexed(
     for (i, client) in clients.into_iter().enumerate() {
         groups[i % drivers].push(Lane {
             client,
-            rng: mix_cfg.seed ^ (i as u64) << 32,
+            stream: OpStream::new(mix_cfg, i),
             error: None,
         });
     }
     let batch = mix_cfg.batch.max(1);
-    let keyspace = mix_cfg.keyspace.max(1);
-    let read_pct = mix_cfg.read_pct;
 
     let groups: Vec<Vec<Lane>> = std::thread::scope(|scope| {
         let workers: Vec<_> = groups
@@ -338,9 +311,8 @@ fn drive_multiplexed(
                             if lane.error.is_some() {
                                 continue;
                             }
-                            let ops: Vec<KvOp> = (0..batch)
-                                .map(|_| random_op(&mut lane.rng, keyspace, read_pct))
-                                .collect();
+                            let ops: Vec<KvOp> =
+                                (0..batch).map(|_| lane.stream.next_op()).collect();
                             let mut classes = [0u64; 3];
                             for op in &ops {
                                 match op {

@@ -21,7 +21,7 @@ use std::time::Instant;
 
 /// All experiments: the workload registry (E1–E14) plus the store-level
 /// soak (E15, in `ff-store`), the network soaks (E16/E17, in `ff-net`),
-/// the flat-combining study (E18, in this crate's lib), the
+/// the combining study (E18, in this crate's lib), the
 /// deterministic whole-system simulation corpus and its durability
 /// study (E19/E20, in `ff-dst`) and the consensus-substrate hierarchy
 /// sweep (E21, in this crate's lib) — they depend on `ff-workload`, so

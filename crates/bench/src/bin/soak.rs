@@ -12,8 +12,8 @@
 //! `--json-out`). Exits nonzero if any shard diverged — which the
 //! `--backend naive` arm exists to demonstrate.
 //!
-//! `--combining` routes every worker through the flat-combining shard
-//! cores. `--ab` runs the same configuration twice in one process —
+//! `--combining` routes every worker through the shared shard cores
+//! (one replica per shard). `--ab` runs the same configuration twice in one process —
 //! first uncombined, then combined — writes both arms into one JSON
 //! document, and exits nonzero unless both arms verified consistent
 //! *and* the combined arm was at least as fast; CI's combining smoke

@@ -2,7 +2,7 @@
 //!
 //! Most experiments live next to the layer they exercise (`ff-workload`
 //! E1–E14, `ff-store` E15, `ff-net` E16/E17). E18 compares the
-//! flat-combining shard cores against the uncombined submission path
+//! combining shard cores against the uncombined submission path
 //! *and* re-checks the combining model grid — store and simulator
 //! together — so it lives here, in the one crate that depends on both.
 //! E21 sweeps every registered consensus substrate through the same
@@ -11,13 +11,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use ff_sim::{check_combining, combining_crash_grid, combining_grid, CombineModelConfig};
+use ff_sim::{check_combining, combining_grid, CombineModelConfig};
 use ff_store::metrics::format_ns;
 use ff_store::{all_backends, run_soak, Backend, SoakConfig, SoakReport};
 use ff_workload::{Experiment, ExperimentResult, JsonValue, Table};
 
-/// E18: flat-combining cores vs the uncombined path, plus the
-/// exhaustive small-config model check of the combining protocol.
+/// E18: combining shard cores vs the uncombined path, plus the
+/// exhaustive small-config model check of the read fast path.
 pub struct E18Combining;
 
 impl Experiment for E18Combining {
@@ -26,13 +26,11 @@ impl Experiment for E18Combining {
     }
 
     fn title(&self) -> &'static str {
-        "Flat-combining shard cores: A/B soak, read fast path, model grid"
+        "Combining shard cores: A/B soak, read fast path, model grid"
     }
 
     fn run(&self) -> ExperimentResult {
-        let mut grid = combining_grid();
-        grid.extend(combining_crash_grid());
-        run_e18(&grid, 0.6)
+        run_e18(&combining_grid(), 0.6)
     }
 }
 
@@ -141,13 +139,12 @@ fn run_e18(grid: &[CombineModelConfig], secs: f64) -> ExperimentResult {
     }
 
     // Arm 4 — the exhaustive model grid: no stale read past the decided
-    // tail, no lost or duplicated op under combiner hand-off — nor
-    // under adversarial combiner kills with the lease reclaim on —
+    // tail and no lost or duplicated op under lock-serialised appends,
     // across every interleaving of every small configuration.
     let mut model = Table::new(
-        "combining model grid (exhaustive; stutters = tolerated cell faults, crashes = combiner kills)",
+        "combining model grid (exhaustive; stutters = tolerated cell faults)",
         &[
-            "clients", "rounds", "stutters", "crashes", "lease", "states", "stale", "lost", "dup",
+            "clients", "rounds", "stutters", "states", "stale", "lost", "dup",
         ],
     );
     for cfg in grid {
@@ -157,8 +154,6 @@ fn run_e18(grid: &[CombineModelConfig], secs: f64) -> ExperimentResult {
             cfg.clients.to_string(),
             cfg.rounds.to_string(),
             format!("{:?}", cfg.stutter_budget),
-            cfg.crashes.to_string(),
-            cfg.lease.to_string(),
             report.states.to_string(),
             report.stale_reads.to_string(),
             report.lost_ops.to_string(),
@@ -169,7 +164,8 @@ fn run_e18(grid: &[CombineModelConfig], secs: f64) -> ExperimentResult {
     ExperimentResult {
         id: "e18".into(),
         title: E18Combining.title().into(),
-        paper_ref: "flat combining over the robust universal construction (Sections 4–6)".into(),
+        paper_ref: "shared shard replicas over the robust universal construction (Sections 4–6)"
+            .into(),
         tables: vec![ab, sweep, model],
         notes,
         pass,

@@ -31,7 +31,7 @@ fn usage() -> ! {
          \x20 corpus   [--seed N] [--threads N]\n\
          \x20 minimize --scenario S --arm A [--seed N] --out PATH\n\
          \x20 replay   --golden PATH [--threads N]\n\
-         scenarios: partition-ramp kill-checkpoint restart-drain kill-combiner kill-recover"
+         scenarios: partition-ramp kill-checkpoint restart-drain kill-recover"
     );
     std::process::exit(2);
 }
@@ -150,20 +150,15 @@ fn cmd_corpus(opts: Opts) -> i32 {
     failures.min(1)
 }
 
-/// The reproduction predicate a golden trace pins down: for catch-me
-/// arms (`naive`, `nolease`) the interesting event IS the flag/stall
-/// (for a durable naive arm, specifically the refused recovery), so
-/// that is what minimization preserves; for well-behaved arms it is
-/// any contract violation.
+/// The reproduction predicate a golden trace pins down: for the
+/// catch-me `naive` arm the interesting event IS the flag (for a
+/// durable naive arm, specifically the refused recovery), so that is
+/// what minimization preserves; for well-behaved arms it is any
+/// contract violation.
 fn violation_of(r: &RunReport) -> Option<&'static str> {
     match r.arm.as_str() {
         "naive" if r.recovery_refused > 0 => Some("recovery-refused"),
         "naive" => r.flagged.then_some("flagged"),
-        "nolease" => r
-            .violations
-            .iter()
-            .any(|v| v.starts_with("stall:"))
-            .then_some("stall"),
         _ => (!arm_ok(r)).then_some("contract"),
     }
 }
@@ -172,7 +167,6 @@ fn reproduces(r: &RunReport, violation: &str) -> bool {
     match violation {
         "flagged" => r.flagged,
         "recovery-refused" => r.recovery_refused > 0,
-        "stall" => r.violations.iter().any(|v| v.starts_with("stall:")),
         _ => !arm_ok(r),
     }
 }
@@ -275,26 +269,18 @@ fn main() {
     let opts = parse(rest);
     if let Some(s) = &opts.scenario {
         // Fail fast on typos (also validates the arm when present).
-        // Scenarios whose declared arms are substrate names accept
-        // *any* registered substrate — `--arm kw-robust` on
-        // partition-ramp resolves through the registry exactly like
-        // `--backend` on the soak CLIs. Arms like `lease`/`nolease`
-        // stay closed: those scenarios don't vary the backend.
+        // Every scenario accepts its declared arms plus *any*
+        // registered substrate — `--arm kw-robust` on partition-ramp
+        // resolves through the registry exactly like `--backend` on
+        // the soak CLIs.
         let known = arms(s);
-        let takes_substrates = known.iter().any(|k| k.parse::<Backend>().is_ok());
         if let Some(a) = &opts.arm {
-            let ok =
-                known.contains(&a.as_str()) || (takes_substrates && a.parse::<Backend>().is_ok());
-            if !ok {
-                if takes_substrates {
-                    eprintln!(
-                        "dst: scenario {s} has arms {known:?} (or any registered \
-                         substrate: {}), not {a:?}",
-                        ff_store::substrate_names().join(", ")
-                    );
-                } else {
-                    eprintln!("dst: scenario {s} has arms {known:?}, not {a:?}");
-                }
+            if !known.contains(&a.as_str()) && a.parse::<Backend>().is_err() {
+                eprintln!(
+                    "dst: scenario {s} has arms {known:?} (or any registered \
+                     substrate: {}), not {a:?}",
+                    ff_store::substrate_names().join(", ")
+                );
                 std::process::exit(2);
             }
         }

@@ -84,7 +84,6 @@ impl Experiment for E19Dst {
         );
         for (scenario, arm) in [
             ("partition-ramp", "robust"),
-            ("kill-combiner", "lease"),
             // The durable path: same seed must mean the same recovery.
             ("kill-recover", "torn"),
         ] {
@@ -105,8 +104,7 @@ impl Experiment for E19Dst {
         }
 
         notes.push(
-            "robust/lease/torn arms must end verify-consistent and live; naive must be flagged; \
-             nolease must stall on the parked ops"
+            "robust/torn arms must end verify-consistent and live; naive must be flagged"
                 .to_string(),
         );
         ExperimentResult {

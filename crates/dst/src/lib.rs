@@ -27,14 +27,14 @@
 //! | [`topology`] | machines and processes — failure and partition domains |
 //! | [`disk`] | [`SimDisk`]: per-machine durable bytes that survive kills, with torn power-fail semantics |
 //! | [`net`] | [`SimNet`]: the lossy fabric, fault decisions, record/replay |
-//! | [`process`] | server / durable-server / client / worker / combiner state machines |
+//! | [`process`] | server / durable-server / client state machines |
 //! | [`runner`] | [`Sim`]: the event heap, kills, power-fails, respawns, the run loop |
 //! | [`scenario`] | the seeded scenario corpus and per-arm contracts |
 //! | [`trace`] | fault scripts, trace fingerprints, ddmin minimization, golden traces |
 //!
 //! The point, in the paper's terms: the store's fault-tolerant
-//! constructions are exercised by *systemic* faults (crashed combiners,
-//! dead servers, partitioned racks) layered on the *functional* faults
+//! constructions are exercised by *systemic* faults (dead servers,
+//! power-failed disks, partitioned racks) layered on the *functional* faults
 //! they were built for — and the simulator checks the contract that
 //! robust arms stay consistent and live while naive arms are always
 //! flagged, never silently wrong.

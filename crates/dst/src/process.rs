@@ -1,7 +1,7 @@
 //! The simulated processes: what actually runs on the datacenter's
 //! machines.
 //!
-//! Four process kinds cover the stack the simulator kills:
+//! Three process kinds cover the stack the simulator kills:
 //!
 //! * [`ServerProc`] — the network face of the real [`Store`]: one
 //!   socket-free [`Session`] (the *same* state machine the production
@@ -15,13 +15,9 @@
 //!   responses with [`decode_response`], and recovers from timeouts,
 //!   closed connections and corrupted streams by reconnecting and
 //!   resending — at-least-once, like any real client.
-//! * [`WorkerProc`] — a store-level client driving the split-phase
-//!   combining API (`publish_to_shard` / `poll_published`), escalating
-//!   to a forced combine pass when its unit sits unclaimed too long.
-//! * [`CombinerProc`] — a dedicated combiner running `combine_begin`
-//!   on one wake and `combine_finish` on the next. Killing it **between
-//!   the two** drops the ticket — the real crashed-combiner window the
-//!   lease/epoch rule in `ff-store` exists to recover from.
+//! * [`DurableServerProc`] — a server owning its own durable store;
+//!   killing it drops the store and the respawn recovers from the
+//!   machine's surviving disk bytes.
 //!
 //! Handlers never touch the event heap directly: they push follow-up
 //! wakes and network deliveries into an [`Outbox`] the runner drains,
@@ -33,7 +29,7 @@ use ff_net::session::Session;
 use ff_net::wire::{
     decode_response, encode_request, Decoded, ErrorCode, Request, Response, StatsReply,
 };
-use ff_store::{CombineTicket, Kv, KvOp, PendingCombined, StoreClient, StoreError};
+use ff_store::{Kv, KvOp, StoreClient, StoreError};
 
 use crate::net::{ConnId, Delivery, Payload, SimNet};
 use crate::rng::SimRng;
@@ -84,10 +80,6 @@ pub enum Proc {
     DurableServer(DurableServerProc),
     /// A wire-protocol transaction generator.
     Client(ClientProc),
-    /// A split-phase combining publisher.
-    Worker(WorkerProc),
-    /// A dedicated two-wake combiner.
-    Combiner(CombinerProc),
 }
 
 impl Proc {
@@ -97,8 +89,6 @@ impl Proc {
             Proc::Server(p) => p.id,
             Proc::DurableServer(p) => p.id,
             Proc::Client(p) => p.id,
-            Proc::Worker(p) => p.id,
-            Proc::Combiner(p) => p.id,
         }
     }
 
@@ -528,167 +518,5 @@ impl ClientProc {
             // A BATCH is never answered with these.
             Response::Value(_) | Response::Stats(_) | Response::Pong => {}
         }
-    }
-}
-
-// ---------------------------------------------------------------- worker
-
-/// A split-phase combining publisher (see module docs).
-pub struct WorkerProc {
-    /// Own process id.
-    pub id: ProcId,
-    /// Split-phase combining client.
-    pub client: StoreClient,
-    /// The single shard this worker publishes to.
-    pub shard: usize,
-    /// Keys routing to that shard.
-    pub keys: Vec<u32>,
-    /// Private workload stream.
-    pub rng: SimRng,
-    /// Wake cadence (nanoseconds).
-    pub poll_interval: u64,
-    /// After this many fruitless polls, force a combine pass.
-    pub escalate_after: u32,
-    /// Stop after this many delivered units.
-    pub target: u64,
-    pending: Option<PendingCombined>,
-    polls: u32,
-    /// Units delivered.
-    pub completed: u64,
-    /// Divergence results observed.
-    pub divergence_seen: u64,
-}
-
-impl WorkerProc {
-    /// A fresh worker; the runner schedules its first wake.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        id: ProcId,
-        client: StoreClient,
-        shard: usize,
-        keys: Vec<u32>,
-        rng: SimRng,
-        poll_interval: u64,
-        escalate_after: u32,
-        target: u64,
-    ) -> Self {
-        assert!(!keys.is_empty(), "worker needs keys routing to its shard");
-        WorkerProc {
-            id,
-            client,
-            shard,
-            keys,
-            rng,
-            poll_interval,
-            escalate_after,
-            target,
-            pending: None,
-            polls: 0,
-            completed: 0,
-            divergence_seen: 0,
-        }
-    }
-
-    /// Publish, poll, or escalate.
-    pub fn wake(&mut self, now: u64, trace: &mut Trace, outbox: &mut Outbox) {
-        match &mut self.pending {
-            None => {
-                if self.completed >= self.target {
-                    return; // done; no rewake
-                }
-                let key = self.keys[self.rng.next_range(self.keys.len() as u64) as usize];
-                let value = self.rng.next_range(1 << 16) as u32;
-                match self
-                    .client
-                    .publish_to_shard(self.shard, &[KvOp::Put(key, value)])
-                {
-                    Ok(p) => self.pending = Some(p),
-                    Err(e) => trace.log(now, format!("{} publish refused: {e}", self.id)),
-                }
-            }
-            Some(pending) => match self.client.poll_published(pending) {
-                Ok(Some(_)) => {
-                    self.completed += 1;
-                    self.pending = None;
-                    self.polls = 0;
-                }
-                Ok(None) => {
-                    self.polls += 1;
-                    if self.polls.is_multiple_of(self.escalate_after) {
-                        // Nobody is combining (or the combiner died):
-                        // take over, force past the advisory flag.
-                        if let Some(ticket) = self.client.combine_begin(self.shard, true) {
-                            self.client.combine_finish(ticket);
-                            trace.log(now, format!("{} escalated combine", self.id));
-                        }
-                    }
-                }
-                Err(e) => {
-                    self.divergence_seen += 1;
-                    self.pending = None;
-                    self.polls = 0;
-                    trace.log(now, format!("{} poll error: {e}", self.id));
-                }
-            },
-        }
-        outbox.wake(now + self.poll_interval, self.id);
-    }
-}
-
-// -------------------------------------------------------------- combiner
-
-/// A dedicated combiner whose claim and execute phases are separate
-/// wakes — the crash window the kill-the-combiner scenario aims at.
-pub struct CombinerProc {
-    /// Own process id.
-    pub id: ProcId,
-    /// Combining client used only for begin/finish.
-    pub client: StoreClient,
-    /// Shards to round-robin over.
-    pub shards: usize,
-    /// Wake cadence (nanoseconds).
-    pub interval: u64,
-    held: Option<CombineTicket>,
-    rr: usize,
-    /// Passes finished.
-    pub passes: u64,
-}
-
-impl CombinerProc {
-    /// A fresh combiner; the runner schedules its first wake.
-    pub fn new(id: ProcId, client: StoreClient, shards: usize, interval: u64) -> Self {
-        CombinerProc {
-            id,
-            client,
-            shards,
-            interval,
-            held: None,
-            rr: 0,
-            passes: 0,
-        }
-    }
-
-    /// Is a claimed-but-unfinished pass in hand (the kill window)?
-    pub fn holding(&self) -> bool {
-        self.held.is_some()
-    }
-
-    /// Claim on one wake, execute on the next.
-    pub fn wake(&mut self, now: u64, trace: &mut Trace, outbox: &mut Outbox) {
-        match self.held.take() {
-            Some(ticket) => {
-                self.client.combine_finish(ticket);
-                self.passes += 1;
-            }
-            None => {
-                let shard = self.rr % self.shards;
-                self.rr += 1;
-                if let Some(ticket) = self.client.combine_begin(shard, false) {
-                    trace.log(now, format!("{} combine begin shard={shard}", self.id));
-                    self.held = Some(ticket);
-                }
-            }
-        }
-        outbox.wake(now + self.interval, self.id);
     }
 }

@@ -17,10 +17,10 @@
 //! Kills are role-based: killing `"server"` takes down whichever
 //! incarnation currently holds that role, closes every connection it
 //! touched (peers see [`Payload::Closed`]), and parks the corpse in a
-//! graveyard — its [`StoreClient`] (and any claimed-but-unfinished
-//! [`CombineTicket`](ff_store::CombineTicket)) stays allocated but
-//! forever idle, which is exactly the crashed-process model of the
-//! paper: the shared object survives, the operation parks mid-flight.
+//! graveyard — its [`StoreClient`](ff_store::StoreClient) stays
+//! allocated but forever idle, which is exactly the crashed-process
+//! model of the paper: the shared object survives, the process does
+//! not.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -32,8 +32,7 @@ use crate::clock::SimClock;
 use crate::disk::SimDisk;
 use crate::net::{ConnId, FaultRates, NetConfig, Payload, ScriptMode, SimNet};
 use crate::process::{
-    ClientCfg, ClientProc, CombinerProc, DurableServerProc, Outbox, Proc, RunFlags, ServerProc,
-    WorkerProc, HANDLE_DELAY,
+    ClientCfg, ClientProc, DurableServerProc, Outbox, Proc, RunFlags, ServerProc, HANDLE_DELAY,
 };
 use crate::rng::{splitmix64, SimRng};
 use crate::topology::{MachineId, ProcId, Topology};
@@ -76,32 +75,6 @@ pub enum ProcSpec {
         /// Workload knobs.
         cfg: ClientCfg,
     },
-    /// A split-phase combining publisher.
-    Worker {
-        /// Host machine.
-        machine: MachineId,
-        /// Own role name.
-        role: String,
-        /// Shard it publishes to.
-        shard: usize,
-        /// Keys routing to that shard.
-        keys: Vec<u32>,
-        /// Wake cadence (ns).
-        poll_interval: u64,
-        /// Forced-combine escalation threshold (polls).
-        escalate_after: u32,
-        /// Units to deliver.
-        target: u64,
-    },
-    /// A dedicated combiner.
-    Combiner {
-        /// Host machine.
-        machine: MachineId,
-        /// Own role name.
-        role: String,
-        /// Wake cadence (ns).
-        interval: u64,
-    },
 }
 
 impl ProcSpec {
@@ -109,9 +82,7 @@ impl ProcSpec {
         match self {
             ProcSpec::Server { role, .. }
             | ProcSpec::DurableServer { role, .. }
-            | ProcSpec::Client { role, .. }
-            | ProcSpec::Worker { role, .. }
-            | ProcSpec::Combiner { role, .. } => role,
+            | ProcSpec::Client { role, .. } => role,
         }
     }
 }
@@ -191,7 +162,7 @@ fn fnv(s: &str) -> u64 {
 pub struct RunReport {
     /// Scenario name.
     pub scenario: String,
-    /// Arm name (`robust` / `naive` / `lease` / `nolease`).
+    /// Arm name (`robust` / `naive` / `torn`, or any substrate name).
     pub arm: String,
     /// Root seed.
     pub seed: u64,
@@ -236,7 +207,7 @@ pub struct Sim {
     pub net: SimNet,
     /// The decision log.
     pub trace: Trace,
-    /// The real store under test, shared by every server and worker.
+    /// The real store under test, shared by every server.
     pub store: Store,
     /// Cross-cutting observations.
     pub flags: RunFlags,
@@ -379,46 +350,6 @@ impl Sim {
                 machine,
                 Box::new(move |id, rng| Proc::Client(ClientProc::new(id, server_role, cfg, rng))),
             ),
-            ProcSpec::Worker {
-                machine,
-                role: _,
-                shard,
-                keys,
-                poll_interval,
-                escalate_after,
-                target,
-            } => {
-                let client = self.store.client();
-                (
-                    machine,
-                    Box::new(move |id, rng| {
-                        Proc::Worker(WorkerProc::new(
-                            id,
-                            client,
-                            shard,
-                            keys,
-                            rng,
-                            poll_interval,
-                            escalate_after,
-                            target,
-                        ))
-                    }),
-                )
-            }
-            ProcSpec::Combiner {
-                machine,
-                role: _,
-                interval,
-            } => {
-                let client = self.store.client();
-                let shards = self.store.shards();
-                (
-                    machine,
-                    Box::new(move |id, _| {
-                        Proc::Combiner(CombinerProc::new(id, client, shards, interval))
-                    }),
-                )
-            }
             ProcSpec::DurableServer { .. } => unreachable!("handled above"),
         };
         let pid = self.topo.process(machine, label.clone());
@@ -593,8 +524,6 @@ impl Sim {
                 &self.roles,
                 &mut outbox,
             ),
-            Proc::Worker(p) => p.wake(now, &mut self.trace, &mut outbox),
-            Proc::Combiner(p) => p.wake(now, &mut self.trace, &mut outbox),
         }
         self.procs[pid.0 as usize] = Some(proc);
         self.drain(outbox);
@@ -620,8 +549,6 @@ impl Sim {
                 &mut self.flags,
                 &mut outbox,
             ),
-            // Store-level procs have no network face.
-            Proc::Worker(_) | Proc::Combiner(_) => {}
         }
         self.procs[to.0 as usize] = Some(proc);
         self.drain(outbox);

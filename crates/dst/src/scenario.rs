@@ -1,17 +1,15 @@
 //! The scenario corpus: seeded, replayable crash-and-partition
 //! campaigns against the real stack.
 //!
-//! Every scenario runs twice-armed. The net scenarios pit the paper's
-//! **robust** backend against the **naive** one under identical fault
-//! schedules; kill-the-combiner pits the **lease**d combiner recovery
-//! rule against running with the lease off. The contract is always the
-//! same shape:
+//! Every scenario pits the paper's **robust** backend against the
+//! **naive** one under identical fault schedules (kill-recover adds a
+//! **torn** power-loss arm). The contract is always the same shape:
 //!
-//! * the robust/lease arm must end [`Store::verify`]-consistent with
+//! * the robust/torn arm must end [`Store::verify`]-consistent with
 //!   every workload process past its completion floor, and
-//! * the naive/nolease arm must be *caught* — a verify failure, a
-//!   divergence flag, a divergence error frame at a client, or a
-//!   stalled worker — never silently wrong.
+//! * the naive arm must be *caught* — a verify failure, a divergence
+//!   flag, a divergence error frame at a client, or a refused
+//!   recovery — never silently wrong.
 //!
 //! Scenarios schedule faults and workloads as separate event streams on
 //! one heap, so the same workload can be rerun under a different fault
@@ -33,8 +31,7 @@ pub const MS: u64 = 1_000_000;
 pub struct ScenarioDef {
     /// Registry name (`run_scenario` key).
     pub name: &'static str,
-    /// Its arms, well-behaved first; `naive`/`nolease` arms must be
-    /// caught.
+    /// Its arms, well-behaved first; `naive` arms must be caught.
     pub arms: &'static [&'static str],
     /// One-line description.
     pub about: &'static str,
@@ -56,11 +53,6 @@ pub const CORPUS: &[ScenarioDef] = &[
         name: "restart-drain",
         arms: &["robust", "naive"],
         about: "kill a client with responses in flight on a slow, duplicating fabric",
-    },
-    ScenarioDef {
-        name: "kill-combiner",
-        arms: &["lease", "nolease"],
-        about: "kill the combiner between claim and execute; lease must recover the parked ops",
     },
     ScenarioDef {
         name: "kill-recover",
@@ -136,11 +128,7 @@ fn finish(sim: &Sim, scenario: &str, arm: &str, seed: u64, floors: &[Floor]) -> 
                 divergence_seen += c.divergence_seen;
                 completed += c.completed;
             }
-            Proc::Worker(w) => {
-                divergence_seen += w.divergence_seen;
-                completed += w.completed;
-            }
-            Proc::Server(_) | Proc::DurableServer(_) | Proc::Combiner(_) => {}
+            Proc::Server(_) | Proc::DurableServer(_) => {}
         }
     }
     let flagged = !consistent
@@ -169,7 +157,6 @@ fn finish(sim: &Sim, scenario: &str, arm: &str, seed: u64, floors: &[Floor]) -> 
     for floor in floors {
         let done = match sim.proc_by_role(floor.role) {
             Some(Proc::Client(c)) => c.completed,
-            Some(Proc::Worker(w)) => w.completed,
             Some(_) => continue,
             None => {
                 violations.push(format!("stall:{} dead at end of run", floor.role));
@@ -233,8 +220,6 @@ fn store_with(shards: usize, checkpoint: usize, arm: &str, seed: u64) -> Store {
             .rotate_kinds(true)
             .checkpoint_interval(checkpoint)
             .combining(true)
-            .combiner_lease(true)
-            .reclaim_after(8)
             .seed(seed)
             .build()
             .expect("scenario store config"),
@@ -438,79 +423,6 @@ fn restart_drain(arm: &str, seed: u64, mode: ScriptMode) -> RunReport {
     )
 }
 
-fn kill_combiner(arm: &str, seed: u64, mode: ScriptMode) -> RunReport {
-    let lease = match arm {
-        "lease" => true,
-        "nolease" => false,
-        other => panic!("unknown lease arm {other:?}"),
-    };
-    let store = Store::new(
-        StoreConfig::builder()
-            .shards(1)
-            .backend(Backend::reliable())
-            .checkpoint_interval(64)
-            .combining(true)
-            .combiner_lease(lease)
-            .reclaim_after(8)
-            .seed(seed)
-            .build()
-            .expect("kill-combiner store config"),
-    );
-    // Store-level scenario: no network. 50 simulated ms is an eternity
-    // at these cadences.
-    let mut sim = Sim::new(store, NetConfig::default(), seed, 50 * MS, mode);
-    let core = sim.topo.machine("core");
-    sim.spawn(ProcSpec::Combiner {
-        machine: core,
-        role: "combiner".into(),
-        interval: 100 * US,
-    });
-    for i in 0..3 {
-        sim.spawn(ProcSpec::Worker {
-            machine: core,
-            role: format!("worker-{i}"),
-            shard: 0,
-            keys: (0..64).collect(), // one shard: every key routes there
-            poll_interval: 50 * US,
-            escalate_after: 16,
-            target: 60,
-        });
-    }
-    // The kill window: the combiner claims on one wake and executes on
-    // the next, so a kill between two wakes can land on a held ticket.
-    // At this seed it does — the claimed ops are parked mid-flight.
-    sim.at(5 * MS + 160 * US, EvKind::Kill("combiner".into()));
-    sim.at(
-        6 * MS,
-        EvKind::Spawn(ProcSpec::Combiner {
-            machine: core,
-            role: "combiner".into(),
-            interval: 100 * US,
-        }),
-    );
-    sim.run();
-    finish(
-        &sim,
-        "kill-combiner",
-        arm,
-        seed,
-        &[
-            Floor {
-                role: "worker-0",
-                min: 60,
-            },
-            Floor {
-                role: "worker-1",
-                min: 60,
-            },
-            Floor {
-                role: "worker-2",
-                min: 60,
-            },
-        ],
-    )
-}
-
 fn kill_recover(arm: &str, seed: u64, mode: ScriptMode) -> RunReport {
     // "torn" is the robust substrate under a power-loss kill; every
     // other arm resolves through the substrate registry (robust cells
@@ -541,8 +453,6 @@ fn kill_recover(arm: &str, seed: u64, mode: ScriptMode) -> RunReport {
         .rotate_kinds(true)
         .checkpoint_interval(16)
         .combining(true)
-        .combiner_lease(true)
-        .reclaim_after(8)
         .seed(seed)
         .group_commit(4)
         .rotate_cost(0)
@@ -647,7 +557,6 @@ pub fn run_scenario(name: &str, arm: &str, seed: u64, mode: ScriptMode) -> RunRe
         "partition-ramp" => partition_ramp(arm, seed, mode),
         "kill-checkpoint" => kill_checkpoint(arm, seed, mode),
         "restart-drain" => restart_drain(arm, seed, mode),
-        "kill-combiner" => kill_combiner(arm, seed, mode),
         "kill-recover" => kill_recover(arm, seed, mode),
         other => panic!("unknown scenario {other:?}"),
     }
@@ -655,10 +564,9 @@ pub fn run_scenario(name: &str, arm: &str, seed: u64, mode: ScriptMode) -> RunRe
 
 /// Did this arm behave as its contract demands?
 ///
-/// * The scenario-specific arms: `lease`/`torn` are well-behaved (no
-///   violations, nothing flagged — for `torn` that includes the
-///   kill-recover scenario's extra checks); `nolease`'s parked
-///   operations must show up as a stall.
+/// * The scenario-specific `torn` arm is well-behaved: no violations
+///   and nothing flagged, including the kill-recover scenario's extra
+///   checks.
 /// * Substrate arms resolve through the registry and inherit the
 ///   substrate's contract: consistency-promising substrates (`robust`,
 ///   `kw-robust`, …) must end clean, broken witnesses (`naive`) must
@@ -666,8 +574,7 @@ pub fn run_scenario(name: &str, arm: &str, seed: u64, mode: ScriptMode) -> RunRe
 ///   recovery of the respawn.
 pub fn arm_ok(report: &RunReport) -> bool {
     match report.arm.as_str() {
-        "lease" | "torn" => report.violations.is_empty() && !report.flagged,
-        "nolease" => report.violations.iter().any(|v| v.starts_with("stall:")),
+        "torn" => report.violations.is_empty() && !report.flagged,
         arm => match arm.parse::<Backend>() {
             Ok(backend) if backend.expected_consistent() => {
                 report.violations.is_empty() && !report.flagged

@@ -281,7 +281,7 @@ pub fn minimize(
 pub struct GoldenTrace {
     /// Scenario name ([`crate::scenario`] registry).
     pub scenario: String,
-    /// Arm the violation manifests on (e.g. `naive`, `nolease`).
+    /// Arm the violation manifests on (e.g. `naive`).
     pub arm: String,
     /// Root seed of the recorded run.
     pub seed: u64,

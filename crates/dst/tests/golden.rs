@@ -12,7 +12,6 @@ fn reproduces(r: &ff_dst::RunReport, violation: &str) -> bool {
     match violation {
         "flagged" => r.flagged,
         "recovery-refused" => r.recovery_refused > 0,
-        "stall" => r.violations.iter().any(|v| v.starts_with("stall:")),
         other => panic!("unknown golden violation kind {other:?}"),
     }
 }

@@ -98,6 +98,102 @@ fn run_arm(
     }
 }
 
+/// What distinguishes E16 from E17: the server shape, the connection
+/// count, the seeds and the words around the shared table.
+struct SoakSpec {
+    id: &'static str,
+    title: &'static str,
+    paper_ref: &'static str,
+    table: &'static str,
+    connections: usize,
+    server: fn() -> ServerConfig,
+    robust_seed: u64,
+    naive_seed: u64,
+    closing_note: &'static str,
+}
+
+/// The body E16 and E17 share: one robust arm that must end clean, then
+/// up to 12 naive attempts over seeds until one is flagged — like
+/// E15's naive arm, the violation is existential and the junk decision
+/// has to land observably.
+fn run_soak_experiment(spec: &SoakSpec) -> ExperimentResult {
+    let mut table = Table::new(
+        spec.table,
+        &[
+            "backend",
+            "ops served",
+            "remote divergence",
+            "verify consistent",
+        ],
+    );
+    let row = |backend: &str, arm: &ArmOutcome| {
+        [
+            backend.to_string(),
+            arm.ops.to_string(),
+            arm.divergence_seen_remotely.to_string(),
+            arm.verify_consistent.to_string(),
+        ]
+    };
+    let mut notes = Vec::new();
+
+    let robust = run_arm(
+        Backend::robust(),
+        0.5,
+        spec.robust_seed,
+        spec.connections,
+        (spec.server)(),
+    );
+    table.push_row(&row("robust", &robust));
+    let robust_ok = robust.verify_consistent && robust.client_errors.is_empty();
+    if !robust_ok {
+        for e in &robust.client_errors {
+            notes.push(format!("robust arm client error: {e}"));
+        }
+    }
+
+    let mut naive_flagged = false;
+    let mut naive_ops = 0;
+    for attempt in 0..12u64 {
+        let naive = run_arm(
+            Backend::naive(),
+            0.2,
+            spec.naive_seed ^ (attempt << 8),
+            spec.connections,
+            (spec.server)(),
+        );
+        naive_ops += naive.ops;
+        if naive.divergence_seen_remotely || !naive.verify_consistent {
+            naive_flagged = true;
+            table.push_row(&row("naive", &naive));
+            notes.push(format!(
+                "naive arm flagged at attempt {attempt}: {} (shards {:?})",
+                if naive.divergence_seen_remotely {
+                    "client received a divergence error over the wire"
+                } else {
+                    "post-drain verify found inconsistent shards"
+                },
+                naive.diverged_shards,
+            ));
+            break;
+        }
+    }
+    if !naive_flagged {
+        notes.push(format!(
+            "naive arm stayed clean across 12 attempts ({naive_ops} ops) — violation not observed"
+        ));
+    }
+    notes.push(spec.closing_note.to_string());
+
+    ExperimentResult {
+        id: spec.id.into(),
+        title: spec.title.into(),
+        paper_ref: spec.paper_ref.into(),
+        tables: vec![table],
+        notes,
+        pass: robust_ok && naive_flagged,
+    }
+}
+
 impl Experiment for E16NetSoak {
     fn id(&self) -> &'static str {
         "e16"
@@ -108,84 +204,18 @@ impl Experiment for E16NetSoak {
     }
 
     fn run(&self) -> ExperimentResult {
-        let mut table = Table::new(
-            "TCP soak (3 connections, 3 shards, ramped fault rate 0→0.5→0)",
-            &[
-                "backend",
-                "ops served",
-                "remote divergence",
-                "verify consistent",
-            ],
-        );
-        let mut notes = Vec::new();
-
-        let robust = run_arm(Backend::robust(), 0.5, 0xE16, 3, ServerConfig::default());
-        table.push_row(&[
-            "robust".to_string(),
-            robust.ops.to_string(),
-            robust.divergence_seen_remotely.to_string(),
-            robust.verify_consistent.to_string(),
-        ]);
-        let robust_ok = robust.verify_consistent && robust.client_errors.is_empty();
-        if !robust_ok {
-            for e in &robust.client_errors {
-                notes.push(format!("robust arm client error: {e}"));
-            }
-        }
-
-        // Like E15's naive arm, the violation is existential and the
-        // junk word has to land observably — retry over seeds.
-        let mut naive_flagged = false;
-        let mut naive_ops = 0;
-        for attempt in 0..12u64 {
-            let naive = run_arm(
-                Backend::naive(),
-                0.2,
-                0x16E ^ (attempt << 8),
-                3,
-                ServerConfig::default(),
-            );
-            naive_ops += naive.ops;
-            let flagged = naive.divergence_seen_remotely || !naive.verify_consistent;
-            if flagged {
-                naive_flagged = true;
-                table.push_row(&[
-                    "naive".to_string(),
-                    naive.ops.to_string(),
-                    naive.divergence_seen_remotely.to_string(),
-                    naive.verify_consistent.to_string(),
-                ]);
-                notes.push(format!(
-                    "naive arm flagged at attempt {attempt}: {} (shards {:?})",
-                    if naive.divergence_seen_remotely {
-                        "client received a divergence error over the wire"
-                    } else {
-                        "post-drain verify found inconsistent shards"
-                    },
-                    naive.diverged_shards,
-                ));
-                break;
-            }
-        }
-        if !naive_flagged {
-            notes.push(format!(
-                "naive arm stayed clean across 12 attempts ({naive_ops} ops) — violation not observed"
-            ));
-        }
-        notes.push(
-            "both arms run the identical drive_clients workload; only the Kv \
-             implementation (NetClient vs StoreClient) differs"
-                .to_string(),
-        );
-
-        ExperimentResult {
-            id: "e16".into(),
-            title: self.title().into(),
-            paper_ref: "Sections 4–6 composed at system scale, across a transport".into(),
-            tables: vec![table],
-            notes,
-            pass: robust_ok && naive_flagged,
-        }
+        run_soak_experiment(&SoakSpec {
+            id: self.id(),
+            title: self.title(),
+            paper_ref: "Sections 4–6 composed at system scale, across a transport",
+            table: "TCP soak (3 connections, 3 shards, ramped fault rate 0→0.5→0)",
+            connections: 3,
+            server: ServerConfig::default,
+            robust_seed: 0xE16,
+            naive_seed: 0x16E,
+            closing_note: "both arms run the identical drive_clients workload; only the Kv \
+                           implementation (NetClient vs StoreClient) differs",
+        })
     }
 }
 
@@ -207,9 +237,6 @@ fn reactor_config() -> ServerConfig {
     }
 }
 
-/// Connections per E17 arm — four per event loop.
-const E17_CONNECTIONS: usize = 8;
-
 impl Experiment for E17ReactorSoak {
     fn id(&self) -> &'static str {
         "e17"
@@ -220,91 +247,20 @@ impl Experiment for E17ReactorSoak {
     }
 
     fn run(&self) -> ExperimentResult {
-        let mut table = Table::new(
-            "Reactor soak (8 connections, 2 loops, ramped fault rate 0→0.5→0)",
-            &[
-                "backend",
-                "ops served",
-                "remote divergence",
-                "verify consistent",
-            ],
-        );
-        let mut notes = Vec::new();
-
-        let robust = run_arm(
-            Backend::robust(),
-            0.5,
-            0xE17,
-            E17_CONNECTIONS,
-            reactor_config(),
-        );
-        table.push_row(&[
-            "robust".to_string(),
-            robust.ops.to_string(),
-            robust.divergence_seen_remotely.to_string(),
-            robust.verify_consistent.to_string(),
-        ]);
-        let robust_ok = robust.verify_consistent && robust.client_errors.is_empty();
-        if !robust_ok {
-            for e in &robust.client_errors {
-                notes.push(format!("robust arm client error: {e}"));
-            }
-        }
-
-        // Existential violation, like E15/E16: the junk decision has
-        // to land observably — retry over seeds.
-        let mut naive_flagged = false;
-        let mut naive_ops = 0;
-        for attempt in 0..12u64 {
-            let naive = run_arm(
-                Backend::naive(),
-                0.2,
-                0x17E ^ (attempt << 8),
-                E17_CONNECTIONS,
-                reactor_config(),
-            );
-            naive_ops += naive.ops;
-            let flagged = naive.divergence_seen_remotely || !naive.verify_consistent;
-            if flagged {
-                naive_flagged = true;
-                table.push_row(&[
-                    "naive".to_string(),
-                    naive.ops.to_string(),
-                    naive.divergence_seen_remotely.to_string(),
-                    naive.verify_consistent.to_string(),
-                ]);
-                notes.push(format!(
-                    "naive arm flagged at attempt {attempt}: {} (shards {:?})",
-                    if naive.divergence_seen_remotely {
-                        "client received a divergence error over the wire"
-                    } else {
-                        "post-drain verify found inconsistent shards"
-                    },
-                    naive.diverged_shards,
-                ));
-                break;
-            }
-        }
-        if !naive_flagged {
-            notes.push(format!(
-                "naive arm stayed clean across 12 attempts ({naive_ops} ops) — violation not observed"
-            ));
-        }
-        notes.push(
-            "8 connections share 2 per-loop replicas, so every merged run crosses \
-             connection boundaries; divergence still arrives as a typed error frame, \
-             never as data"
-                .to_string(),
-        );
-
-        ExperimentResult {
-            id: "e17".into(),
-            title: self.title().into(),
-            paper_ref: "Sections 4–6 at system scale, through the readiness-driven reactor".into(),
-            tables: vec![table],
-            notes,
-            pass: robust_ok && naive_flagged,
-        }
+        run_soak_experiment(&SoakSpec {
+            id: self.id(),
+            title: self.title(),
+            paper_ref: "Sections 4–6 at system scale, through the readiness-driven reactor",
+            table: "Reactor soak (8 connections, 2 loops, ramped fault rate 0→0.5→0)",
+            // Four per event loop.
+            connections: 8,
+            server: reactor_config,
+            robust_seed: 0xE17,
+            naive_seed: 0x17E,
+            closing_note: "8 connections share 2 per-loop replicas, so every merged run \
+                           crosses connection boundaries; divergence still arrives as a typed \
+                           error frame, never as data",
+        })
     }
 }
 

@@ -30,7 +30,7 @@
 use crate::wire::{
     encode_response, Decoded, ErrorCode, FrameBuffer, RequestRef, Response, StatsReply,
 };
-use ff_store::{KvOp, StoreError, KV_MAX};
+use ff_store::{KvOp, StoreError};
 
 /// Where one staged frame's answer comes from.
 enum SlotKind {
@@ -181,7 +181,7 @@ impl Session {
                                 kind: SlotKind::Ready(Response::Batch(Vec::new())),
                             });
                         }
-                        RequestRef::Batch(b) => match b.iter().try_for_each(validate) {
+                        RequestRef::Batch(b) => match b.iter().try_for_each(|op| op.validate()) {
                             Ok(()) => {
                                 let off = run_ops.len();
                                 run_ops.extend(b.iter());
@@ -275,7 +275,7 @@ impl Session {
 /// Stage one coalescible single-op frame: into the merged run if it
 /// validates, an immediate typed error slot if not.
 fn stage_op(id: u32, op: KvOp, run_ops: &mut Vec<KvOp>, slots: &mut Vec<Slot>) {
-    match validate(op) {
+    match op.validate() {
         Ok(()) => {
             slots.push(Slot {
                 id,
@@ -288,21 +288,6 @@ fn stage_op(id: u32, op: KvOp, run_ops: &mut Vec<KvOp>, slots: &mut Vec<Slot>) {
             kind: SlotKind::Ready(error_response(&e)),
         }),
     }
-}
-
-/// The same up-front validation `StoreClient::batch` applies, hoisted
-/// before run merging so each frame fails alone.
-pub fn validate(op: KvOp) -> Result<(), StoreError> {
-    let key = op.key();
-    if key > KV_MAX {
-        return Err(StoreError::KeyOutOfRange { key });
-    }
-    if let KvOp::Put(_, value) = op {
-        if value > KV_MAX {
-            return Err(StoreError::ValueOutOfRange { value });
-        }
-    }
-    Ok(())
 }
 
 /// Map a [`StoreError`] onto a wire error frame; the `detail` word

@@ -153,7 +153,7 @@ pub struct StatsReply {
     /// Request frames staged for a response across all serve passes;
     /// frames-per-tick is `frames_staged / runs_executed`.
     pub frames_staged: u64,
-    /// Flat-combining passes the store's shard cores ran (0 unless the
+    /// Passes the store's combining shard cores ran (0 unless the
     /// store was built with `combining`).
     pub combine_passes: u64,
     /// Operations those combining passes batched.

@@ -63,7 +63,7 @@ fn kv_over_tcp_matches_in_process_semantics() {
     assert!(stats.run_ops > 0);
     assert!(stats.max_run_ops >= 1);
     assert!(stats.frames_staged >= stats.runs_executed);
-    // Not a combining store: the combiner counters stay zero.
+    // Not a combining store: the shard-core counters stay zero.
     assert_eq!(stats.combine_passes, 0);
     assert_eq!(stats.combine_ops, 0);
     c.ping().unwrap();
@@ -335,9 +335,9 @@ fn shutdown_is_idempotent_and_reports_typed_errors_instead_of_panicking() {
     assert!(report.ops_served >= 1);
 }
 
-/// A flat-combining store behind the reactor: ops from several
-/// connections drain through the shard cores' combine passes, STATS
-/// surfaces the combiner counters, and the post-drain verify holds.
+/// A combining store behind the reactor: ops from several connections
+/// run through the shared shard cores, STATS surfaces the core
+/// counters, and the post-drain verify holds.
 #[test]
 fn combining_store_serves_and_reports_combiner_counters() {
     let (store, server) = serve(

@@ -45,9 +45,7 @@ pub mod trace;
 pub mod valency;
 
 pub use cbound::{explore_context_bounded, iterative_context_bounding};
-pub use combining::{
-    check_combining, combining_crash_grid, combining_grid, CombineModelConfig, CombineModelReport,
-};
+pub use combining::{check_combining, combining_grid, CombineModelConfig, CombineModelReport};
 pub use executor::{run, RunConfig, RunReport};
 pub use explorer::{explore, explore_bfs, ExploreReport, ExplorerConfig, ViolationCounts, Witness};
 pub use fault_ctl::{

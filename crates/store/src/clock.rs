@@ -3,13 +3,13 @@
 //! production and against a manually advanced (or fully simulated)
 //! clock in deterministic tests.
 //!
-//! Nothing in the store's *protocol* layer reads time — combining spin
-//! bounds and lease reclaims are poll counters, so they are already
-//! schedule-deterministic. Wall time enters only where workloads are
-//! paced and latencies are stamped ([`drive_clients`](crate::soak::drive_clients)),
+//! Nothing in the store's *protocol* layer reads time: a shard core
+//! serves each call as one critical section, with no timeouts or spin
+//! bounds. Wall time enters only where workloads are paced and
+//! latencies are stamped ([`drive_clients`](crate::soak::drive_clients)),
 //! and that is exactly the surface this trait abstracts. `ff-dst`'s
-//! whole-system simulator keeps its own logical clock and drives the
-//! store through the split-phase combining API, which never needs one.
+//! whole-system simulator keeps its own logical clock and calls the
+//! store synchronously, so it never needs one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

@@ -1,152 +1,47 @@
-//! Per-shard flat-combining cores: batched log appends plus a
-//! wait-free read fast path.
+//! Per-shard cores: one shared replica per shard, one critical
+//! section per call, plus a wait-free read fast path.
 //!
 //! The universal construction pays a full log pass (one consensus
-//! decision, one replay loop) *per operation*. Node-replication-style
-//! combining collapses that: clients **publish** pending operations
-//! into a per-shard announce array, one client becomes the
-//! **combiner**, drains everything pending, and drives the whole drain
-//! through the shard's [`UniversalLog`] as a *single* batched append
-//! ([`Handle::invoke_many`] — one decided slot carrying a multi-op
-//! record, decoded and applied op-by-op on replay, so `Replicated`
-//! semantics, checkpoints and digests are unchanged). Results are
-//! distributed back to the waiters through their slots.
+//! decision, one replay loop) per appended record. In combining mode a
+//! store keeps **one shared replica per shard** instead of one per
+//! client: every call takes that replica's write lock, drives the
+//! caller's ops through the shard's [`UniversalLog`] as a single
+//! batched append ([`Handle::invoke_many`] — one decided slot carrying
+//! a multi-op record, decoded and applied op-by-op on replay, so
+//! `Replicated` semantics, checkpoints and digests are unchanged), and
+//! returns the responses. A [`Kv::batch`](crate::Kv::batch) call
+//! therefore costs one decided slot per destination shard, and so does
+//! every run the network reactor merges across connections.
 //!
-//! # The protocol
-//!
-//! Each client owns one [`Slot`] per shard. A slot walks
-//! `EMPTY → PENDING → CLAIMED → DONE/FAILED → EMPTY`:
-//!
-//! * **publish** — the owner writes its ops and releases the slot to
-//!   `PENDING`.
-//! * **claim** — a combiner CASes `PENDING → CLAIMED` per slot. Claims
-//!   are *individually* atomic and taken **without holding any lock**,
-//!   so two racing combiners split the pending set instead of
-//!   duplicating it, and a combiner that stalls after claiming can
-//!   never strand ops it did *not* claim.
-//! * **execute** — the combiner locks the shard's shared core replica,
-//!   appends one batch record, and unlocks.
-//! * **distribute** — per-slot results are written and the slot is
-//!   released to `DONE` (or `FAILED` when the shard's log holds
-//!   divergence evidence — an error, never wrong data).
-//!
-//! Combiner election is an *advisory* flag: the common case has one
-//! combiner per shard, but a waiter whose op stays unclaimed too long
-//! **forces** its own pass, bypassing the flag. Correctness never
-//! depends on the flag — only the per-slot claim CAS and the log's own
-//! consensus cells order operations. Tolerated *cell* faults are
-//! absorbed inside the log (the robust constructions).
-//!
-//! # Combiner crash recovery: the lease/epoch rule
-//!
-//! A combiner that dies (or stalls indefinitely) between claiming and
-//! executing would park exactly the ops it claimed — NR's envelope.
-//! The slot word therefore packs an **epoch** next to the state, and
-//! three CAS rules close the hole:
-//!
-//! * **claim** — `(PENDING, e) → (CLAIMED, e)`.
-//! * **reclaim** — after a bound, the *owner* of a still-`CLAIMED` slot
-//!   takes its op back: `(CLAIMED, e) → (PENDING, e+1)`. The op is
-//!   republished under a fresh epoch, up for grabs by any live combiner
-//!   (the owner itself forces a pass if the advisory flag is wedged by
-//!   the dead combiner).
-//! * **seal** — the combiner, already holding the replica write lock
-//!   and immediately before executing, pins each claim:
-//!   `(CLAIMED, e) → (SEALED, e)`. A slot whose seal CAS fails was
-//!   reclaimed and is dropped from the batch.
-//!
-//! Seal and reclaim race on the *same* word `(CLAIMED, e)`, so exactly
-//! one wins: seal-wins ⇒ the original pass applies the op (the owner
-//! keeps waiting); reclaim-wins ⇒ the op is excluded from the slow
-//! pass's batch and applied exactly once by a later one. Result
-//! distribution happens inside the same replica-lock critical section
-//! as the seal and the append, so no schedule can observe a sealed but
-//! undelivered slot. The rule is model-checked exhaustively by
-//! `ff-sim`'s combining model (combiner-crash transition + reclaim:
-//! no lost live ops, no double-apply; the seal-less variant provably
-//! double-applies), and the DST kill-the-combiner scenario fails at a
-//! pinned seed with [`StoreConfig::combiner_lease`](crate::StoreConfig::combiner_lease)
-//! off and passes with it on.
+//! Calls from different clients are not merged: measured, such merging
+//! batched about one op per pass, because the callers that issue many
+//! ops already arrive grouped by shard (DESIGN.md §10). If the log
+//! holds divergence evidence after the append, the call returns the
+//! shard index (an error, never wrong data).
 //!
 //! # The read fast path
 //!
-//! Every combine pass advances the shared core replica, so the replica
-//! is a *versioned snapshot* `(applied_to, state)`. A GET first
-//! observes the shard's tail (`slots_created`) and then answers from
-//! the core replica **iff** `applied_to >= tail` — no log pass, no
-//! consensus invocation, just a read lock and a map lookup. When
-//! freshness cannot be proven (the replica lags the observed tail) the
-//! GET falls back to the combined path and linearizes through the log
-//! like any other op. The freshness rule is checked exhaustively by
-//! `ff-sim`'s combining model.
+//! Every call advances the shared core replica, so the replica is a
+//! *versioned snapshot* `(applied_to, state)`. A GET first observes the
+//! shard's tail (`slots_created`) and then answers from the core
+//! replica **iff** `applied_to >= tail` — no log pass, no consensus
+//! invocation, just a read lock and a map lookup. When freshness cannot
+//! be proven (the replica lags the observed tail) the GET falls back to
+//! the locked path and linearizes through the log like any other op.
+//! The freshness rule is checked exhaustively by `ff-sim`'s combining
+//! model.
 
 use crate::map::KvMap;
 use crate::metrics::Histogram;
 use ff_universal::{Handle, UniversalLog};
 use ff_workload::JsonValue;
-use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use parking_lot::RwLock;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Slot states (see the module docs for the lifecycle). The slot word
-/// packs `state | epoch << STATE_BITS`; the epoch advances only on a
-/// reclaim, which is what lets the seal CAS reject a stale claim.
-const EMPTY: u32 = 0;
-const PENDING: u32 = 1;
-const CLAIMED: u32 = 2;
-const SEALED: u32 = 3;
-const DONE: u32 = 4;
-const FAILED: u32 = 5;
-
-const STATE_BITS: u32 = 3;
-const STATE_MASK: u32 = (1 << STATE_BITS) - 1;
-
-#[inline]
-fn pack(state: u32, epoch: u32) -> u32 {
-    debug_assert!(state <= STATE_MASK);
-    state | epoch << STATE_BITS
-}
-
-#[inline]
-fn state_of(word: u32) -> u32 {
-    word & STATE_MASK
-}
-
-#[inline]
-fn epoch_of(word: u32) -> u32 {
-    word >> STATE_BITS
-}
-
-/// Spins in the wait loop before a waiter forces its own combine pass
-/// past the advisory flag (the combiner-stall takeover path).
-const FORCE_AFTER: u32 = 4096;
-
-/// One client's announce slot on one shard.
-///
-/// Only the owner writes `ops` (before releasing to `PENDING`) and only
-/// the claiming combiner reads them (after winning the claim CAS), so
-/// the mutexes are uncontended in time; the atomic `state` word (packed
-/// state + epoch) carries the release/acquire edges between owner and
-/// combiner.
-pub(crate) struct Slot {
-    state: AtomicU32,
-    ops: Mutex<Vec<u64>>,
-    results: Mutex<Vec<u64>>,
-}
-
-impl Slot {
-    fn new() -> Arc<Self> {
-        Arc::new(Slot {
-            state: AtomicU32::new(EMPTY),
-            ops: Mutex::new(Vec::new()),
-            results: Mutex::new(Vec::new()),
-        })
-    }
-}
-
-/// Live counters of the combining layer, shared by every shard core of
-/// one store. Everything is a relaxed atomic increment — safe to leave
-/// on during a soak.
+/// Live counters of the shard cores, shared by every core of one
+/// store. Everything is a relaxed atomic increment — safe to leave on
+/// during a soak.
 #[derive(Debug, Default)]
 pub struct CombineStats {
     passes: AtomicU64,
@@ -155,7 +50,6 @@ pub struct CombineStats {
     max_batch: AtomicU64,
     fastpath_hits: AtomicU64,
     fastpath_misses: AtomicU64,
-    reclaims: AtomicU64,
 }
 
 impl CombineStats {
@@ -172,10 +66,6 @@ impl CombineStats {
         } else {
             self.fastpath_misses.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    fn record_reclaim(&self) {
-        self.reclaims.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Point-in-time snapshot.
@@ -197,7 +87,6 @@ impl CombineStats {
             max_batch: self.max_batch.load(Ordering::Relaxed),
             fastpath_hits: hits,
             fastpath_misses: misses,
-            reclaims: self.reclaims.load(Ordering::Relaxed),
         }
     }
 }
@@ -205,9 +94,9 @@ impl CombineStats {
 /// Point-in-time summary of [`CombineStats`], ready for reports/JSON.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CombineSnapshot {
-    /// Combine passes (batched log appends).
+    /// Passes (batched log appends, one per core call).
     pub passes: u64,
-    /// Operations drained through combiners.
+    /// Operations those passes carried.
     pub combined_ops: u64,
     /// Mean ops per pass.
     pub mean_batch: f64,
@@ -219,11 +108,8 @@ pub struct CombineSnapshot {
     pub max_batch: u64,
     /// GETs answered from a fresh replica snapshot (no log pass).
     pub fastpath_hits: u64,
-    /// GETs that fell back to the combined path (freshness unprovable).
+    /// GETs that fell back to the locked path (freshness unprovable).
     pub fastpath_misses: u64,
-    /// Ops taken back from a stalled or dead combiner by their owner
-    /// (the lease/epoch reclaim rule firing).
-    pub reclaims: u64,
 }
 
 impl CombineSnapshot {
@@ -261,61 +147,18 @@ impl CombineSnapshot {
                 "fastpath_hit_rate".into(),
                 JsonValue::Number(self.hit_rate()),
             ),
-            ("reclaims".into(), JsonValue::Number(self.reclaims as f64)),
         ])
     }
 }
 
-/// One shard's combining core: the announce-slot registry, the shared
-/// core replica, and the advisory combiner flag.
+/// One shard's core: the shared replica every call drives forward.
 pub(crate) struct ShardCore {
     shard: usize,
     log: Arc<UniversalLog>,
-    /// The shared replica every combine pass drives forward. Write =
-    /// combiner executing; read = wait-free GET snapshot.
+    /// Write = a call executing; read = wait-free GET snapshot.
     replica: RwLock<Handle<KvMap>>,
-    /// Registered announce slots (one per live combining client).
-    slots: RwLock<Vec<Arc<Slot>>>,
-    /// Advisory single-combiner flag; correctness never depends on it.
-    combiner_busy: AtomicBool,
-    /// Owner reclaim of `CLAIMED` slots enabled (the lease rule). Off,
-    /// a dead combiner parks its claims forever — the pinned-seed DST
-    /// regression arm.
-    lease: bool,
-    /// Polls a waiter tolerates a `CLAIMED` slot before reclaiming.
-    reclaim_after: u32,
     stats: Arc<CombineStats>,
-    /// Test-only combiner-stall injection point, fired between the
-    /// claim phase and the execute phase.
-    #[cfg(test)]
-    park: Mutex<Option<ParkHook>>,
 }
-
-/// What one poll of a published slot found.
-pub(crate) enum SlotPoll {
-    /// Delivered: one response word per published op.
-    Ready(Vec<u64>),
-    /// Delivered as divergence evidence (an error, never wrong data).
-    Failed,
-    /// Still `PENDING` — unclaimed, the poller may combine it itself.
-    Pending,
-    /// Some combiner holds the claim (it will deliver, or the lease
-    /// rule will take the op back).
-    Claimed,
-}
-
-/// A claim set taken by [`ShardCore::begin_combine`] and executed by
-/// [`ShardCore::finish_combine`]. Dropping it without finishing models
-/// a combiner crash exactly: the claims stay `CLAIMED` (no `Drop`
-/// cleanup on purpose) until their owners reclaim them.
-pub(crate) struct CombinePass {
-    claimed: Vec<(Arc<Slot>, u32)>,
-    forced: bool,
-}
-
-/// Test-only hook parked between claim and execute (takes the shard).
-#[cfg(test)]
-type ParkHook = Box<dyn Fn(usize) + Send + Sync>;
 
 impl ShardCore {
     pub(crate) fn new(
@@ -323,35 +166,14 @@ impl ShardCore {
         log: Arc<UniversalLog>,
         pid: u16,
         stats: Arc<CombineStats>,
-        lease: bool,
-        reclaim_after: u32,
     ) -> Self {
         let replica = Handle::new(Arc::clone(&log), pid, KvMap::default());
         ShardCore {
             shard,
             log,
             replica: RwLock::new(replica),
-            slots: RwLock::new(Vec::new()),
-            combiner_busy: AtomicBool::new(false),
-            lease,
-            reclaim_after,
             stats,
-            #[cfg(test)]
-            park: Mutex::new(None),
         }
-    }
-
-    /// Register a new client's announce slot.
-    pub(crate) fn register(&self) -> Arc<Slot> {
-        let slot = Slot::new();
-        self.slots.write().push(Arc::clone(&slot));
-        slot
-    }
-
-    /// Remove a dropped client's slot (it must be `EMPTY` — combining
-    /// calls are synchronous, so a live call pins the client).
-    pub(crate) fn unregister(&self, slot: &Arc<Slot>) {
-        self.slots.write().retain(|s| !Arc::ptr_eq(s, slot));
     }
 
     /// Catch the core replica up to the end of the shard's log (used by
@@ -365,29 +187,11 @@ impl ShardCore {
         f(&self.replica.read())
     }
 
-    #[cfg(test)]
-    pub(crate) fn set_park_hook(&self, hook: impl Fn(usize) + Send + Sync + 'static) {
-        *self.park.lock() = Some(Box::new(hook));
-    }
-
-    fn park_point(&self) {
-        #[cfg(test)]
-        {
-            // Take the hook out and *drop the lock* before running it:
-            // the hook blocks (that is its job), and another combiner
-            // must still be able to pass this point.
-            let hook = self.park.lock().take();
-            if let Some(hook) = hook {
-                hook(self.shard);
-            }
-        }
-    }
-
     /// The wait-free GET snapshot: observe the shard's tail, then
     /// answer from the core replica iff it has provably applied at
-    /// least that far. `Ok(None)`-style misses return `None` (caller
-    /// falls back to the combined path); divergence evidence surfaces
-    /// as `Some(Err(shard))` so a corrupted shard refuses rather than
+    /// least that far. Misses return `None` (the caller falls back to
+    /// [`ShardCore::submit`]); divergence evidence surfaces as
+    /// `Some(Err(shard))` so a corrupted shard refuses rather than
     /// answering from a broken log.
     pub(crate) fn fast_get(&self, key: u32) -> Option<Result<Option<u32>, usize>> {
         if self.log.divergence_detected() {
@@ -409,237 +213,24 @@ impl ShardCore {
         }
     }
 
-    /// Publish `ops` as one pending unit (non-blocking). The slot must
-    /// be `EMPTY` — one in-flight unit per slot.
-    pub(crate) fn publish(&self, mine: &Arc<Slot>, ops: &[u64]) {
-        debug_assert!(!ops.is_empty());
-        {
-            let mut slot_ops = mine.ops.lock();
-            slot_ops.clear();
-            slot_ops.extend_from_slice(ops);
-        }
-        let word = mine.state.load(Ordering::Relaxed);
-        debug_assert_eq!(state_of(word), EMPTY, "publish into a non-empty slot");
-        mine.state
-            .store(pack(PENDING, epoch_of(word)), Ordering::Release);
-    }
-
-    /// Whether `mine` currently holds an in-flight (non-`EMPTY`) unit.
-    pub(crate) fn in_flight(&self, mine: &Arc<Slot>) -> bool {
-        state_of(mine.state.load(Ordering::Acquire)) != EMPTY
-    }
-
-    /// One non-blocking look at a published slot. `waited` is how many
-    /// polls the owner has already spent on this unit: past the reclaim
-    /// bound, a still-`CLAIMED` op is taken back from its (stalled or
-    /// dead) combiner and republished under a fresh epoch — the lease
-    /// rule. Returns what the poll found; `Ready`/`Failed` consume the
-    /// unit and release the slot.
-    pub(crate) fn poll(&self, mine: &Arc<Slot>, waited: u32) -> SlotPoll {
-        let word = mine.state.load(Ordering::Acquire);
-        match state_of(word) {
-            DONE => {
-                let out = std::mem::take(&mut *mine.results.lock());
-                mine.state
-                    .store(pack(EMPTY, epoch_of(word)), Ordering::Release);
-                SlotPoll::Ready(out)
-            }
-            FAILED => {
-                mine.state
-                    .store(pack(EMPTY, epoch_of(word)), Ordering::Release);
-                SlotPoll::Failed
-            }
-            PENDING => SlotPoll::Pending,
-            CLAIMED if self.lease && waited >= self.reclaim_after => {
-                // Reclaim: CAS on the exact (CLAIMED, e) word, racing
-                // the combiner's seal on the same word — exactly one
-                // wins, so the op cannot be both republished and kept
-                // in the stale batch.
-                if mine
-                    .state
-                    .compare_exchange(
-                        word,
-                        pack(PENDING, epoch_of(word).wrapping_add(1)),
-                        Ordering::AcqRel,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-                {
-                    self.stats.record_reclaim();
-                    SlotPoll::Pending
-                } else {
-                    SlotPoll::Claimed
-                }
-            }
-            _ => SlotPoll::Claimed,
-        }
-    }
-
-    /// Claim phase of a combine pass: CAS every `PENDING` slot to
-    /// `CLAIMED` (remembering its epoch). Returns `None` when the
-    /// advisory flag was held (`force` bypasses it) or nothing was
-    /// pending. Dropping the returned pass without
-    /// [`ShardCore::finish_combine`] models a combiner crash.
-    pub(crate) fn begin_combine(&self, force: bool) -> Option<CombinePass> {
-        if !force
-            && self
-                .combiner_busy
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-        {
-            return None;
-        }
-        // Claim phase — lock-free with respect to other combiners: each
-        // slot moves (PENDING, e) → (CLAIMED, e) by CAS, so racing
-        // combiners split the pending set and no op is taken twice.
-        let mut claimed: Vec<(Arc<Slot>, u32)> = Vec::new();
-        {
-            let slots = self.slots.read();
-            for s in slots.iter() {
-                let word = s.state.load(Ordering::Acquire);
-                if state_of(word) == PENDING
-                    && s.state
-                        .compare_exchange(
-                            word,
-                            pack(CLAIMED, epoch_of(word)),
-                            Ordering::AcqRel,
-                            Ordering::Relaxed,
-                        )
-                        .is_ok()
-                {
-                    claimed.push((Arc::clone(s), epoch_of(word)));
-                }
-            }
-        }
-        self.park_point();
-        if claimed.is_empty() {
-            if !force {
-                self.combiner_busy.store(false, Ordering::Release);
-            }
-            return None;
-        }
-        Some(CombinePass {
-            claimed,
-            forced: force,
-        })
-    }
-
-    /// Execute-and-distribute phase of a combine pass. Seals every
-    /// still-held claim under the replica write lock, appends the
-    /// sealed ops as one batched log record, and distributes results —
-    /// all inside the same critical section, so a pass that runs at all
-    /// runs to delivery. Returns whether any ops were drained.
-    pub(crate) fn finish_combine(&self, pass: CombinePass) -> bool {
-        let CombinePass { claimed, forced } = pass;
-        let mut sealed: Vec<(Arc<Slot>, u32)> = Vec::with_capacity(claimed.len());
-        let drained = {
-            let mut replica = self.replica.write();
-            // Seal: pin each claim with a CAS on its exact (CLAIMED, e)
-            // word. A failed seal means the owner reclaimed the op — it
-            // is someone else's to apply now, so it leaves the batch.
-            for (s, e) in claimed {
-                if s.state
-                    .compare_exchange(
-                        pack(CLAIMED, e),
-                        pack(SEALED, e),
-                        Ordering::AcqRel,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-                {
-                    sealed.push((s, e));
-                }
-            }
-            if sealed.is_empty() {
-                false
-            } else {
-                let mut words: Vec<u64> = Vec::new();
-                let mut counts: Vec<usize> = Vec::with_capacity(sealed.len());
-                for (s, _) in &sealed {
-                    let ops = s.ops.lock();
-                    words.extend_from_slice(&ops);
-                    counts.push(ops.len());
-                }
-                // Execute — one decided slot for the whole drain.
-                let resps = replica.invoke_many(&words);
-                let diverged = self.log.divergence_detected();
-                self.stats.record_pass(words.len());
-                // Distribute, still under the lock: a sealed op is
-                // always delivered by the pass that sealed it.
-                let mut off = 0;
-                for ((s, e), n) in sealed.iter().zip(&counts) {
-                    {
-                        let mut out = s.results.lock();
-                        out.clear();
-                        out.extend_from_slice(&resps[off..off + n]);
-                    }
-                    off += n;
-                    s.state.store(
-                        pack(if diverged { FAILED } else { DONE }, *e),
-                        Ordering::Release,
-                    );
-                }
-                true
-            }
-        };
-        if !forced {
-            self.combiner_busy.store(false, Ordering::Release);
-        }
-        drained
-    }
-
-    /// Publish `ops` as one pending unit and wait for a combiner
-    /// (possibly this caller) to execute and deliver. Returns one
-    /// response word per op, or the shard index on divergence. Built
-    /// on the same publish/poll/begin/finish primitives the split-phase
-    /// (simulation-drivable) API exposes.
-    pub(crate) fn submit(&self, mine: &Arc<Slot>, ops: &[u64]) -> Result<Vec<u64>, usize> {
-        self.publish(mine, ops);
-        let mut spins = 0u32;
-        loop {
-            match self.poll(mine, spins) {
-                SlotPoll::Ready(out) => return Ok(out),
-                SlotPoll::Failed => return Err(self.shard),
-                // Unclaimed: try to combine it ourselves — advisory
-                // first, forced once the current combiner has had
-                // ample time (it may have stalled after claiming a
-                // disjoint set, or died holding the advisory flag; our
-                // op is still up for grabs).
-                SlotPoll::Pending => {
-                    if self.combine(false) || (spins > FORCE_AFTER && self.combine(true)) {
-                        continue;
-                    }
-                }
-                // Claimed: a combiner owns it and will deliver (or the
-                // poll above reclaims once `spins` passes the bound).
-                SlotPoll::Claimed => {}
-            }
-            spins = spins.wrapping_add(1);
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-    }
-
-    /// One full combine pass (claim + execute + distribute). Returns
-    /// whether any ops were drained. `force` bypasses the advisory flag
-    /// (the stalled-combiner takeover path).
-    fn combine(&self, force: bool) -> bool {
-        match self.begin_combine(force) {
-            Some(pass) => self.finish_combine(pass),
-            None => false,
+    /// Append `ops` as one batched log record under the replica's write
+    /// lock and return one response word per op, or the shard index
+    /// when the log holds divergence evidence.
+    pub(crate) fn submit(&self, ops: &[u64]) -> Result<Vec<u64>, usize> {
+        let resps = self.replica.write().invoke_many(ops);
+        self.stats.record_pass(ops.len());
+        if self.log.divergence_detected() {
+            Err(self.shard)
+        } else {
+            Ok(resps)
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::{Backend, Kv, KvOp, Store, StoreConfig, StoreError};
-    use std::sync::atomic::AtomicUsize;
-    use std::sync::Barrier;
+    use std::collections::HashMap;
 
     fn combining_store(backend: Backend, shards: usize) -> Store {
         Store::new(
@@ -736,138 +327,67 @@ mod tests {
     }
 
     #[test]
-    fn parked_combiner_is_taken_over_without_dropping_ops() {
-        // Adversary: client A claims its op and parks mid-drain (between
-        // claim and execute). Client B must take over — B's op was not
-        // claimed — complete, and when A resumes, A's claimed op must
-        // complete too: nothing dropped, nothing duplicated.
+    fn every_op_applies_exactly_once_under_contention() {
+        // Four threads hammer one shard core with writes to disjoint
+        // keys, alternating single ops and multi-op batches. Each call
+        // is one critical section, so the core must count exactly the
+        // ops issued, and each thread's keys must end at that thread's
+        // own sequential model.
+        const THREADS: u32 = 4;
+        const ROUNDS: u32 = 200;
         let store = std::sync::Arc::new(combining_store(Backend::reliable(), 1));
-        let gate = std::sync::Arc::new(Barrier::new(2));
-        let parked = std::sync::Arc::new(AtomicUsize::new(0));
-        {
-            let gate = std::sync::Arc::clone(&gate);
-            let parked = std::sync::Arc::clone(&parked);
-            store.shard_core_for_tests(0).set_park_hook(move |_| {
-                parked.fetch_add(1, Ordering::SeqCst);
-                gate.wait(); // .. b published
-                gate.wait(); // .. b completed
-            });
-        }
-        let a_result = std::thread::scope(|scope| {
-            let a = {
-                let store = std::sync::Arc::clone(&store);
-                scope.spawn(move || {
-                    let mut a = store.client();
-                    // The hook is armed: A's own combine pass parks
-                    // after claiming A's put.
-                    a.put(1, 11).unwrap()
+        let results: Vec<(u64, HashMap<u32, u32>)> = std::thread::scope(|scope| {
+            (0..THREADS)
+                .map(|t| {
+                    let store = std::sync::Arc::clone(&store);
+                    scope.spawn(move || {
+                        let mut c = store.client();
+                        let mut model = HashMap::new();
+                        let mut issued = 0u64;
+                        for i in 0..ROUNDS {
+                            let key = t * 1000 + i % 23;
+                            if i % 4 == 3 {
+                                let ops = [
+                                    KvOp::Put(key, i),
+                                    KvOp::Del(key + 100),
+                                    KvOp::Put(key + 100, i + 1),
+                                ];
+                                let expect: Vec<Option<u32>> = vec![
+                                    model.insert(key, i),
+                                    model.remove(&(key + 100)),
+                                    model.insert(key + 100, i + 1),
+                                ];
+                                assert_eq!(c.batch(&ops).unwrap(), expect);
+                                issued += ops.len() as u64;
+                            } else if i % 4 == 2 {
+                                assert_eq!(c.del(key).unwrap(), model.remove(&key));
+                                issued += 1;
+                            } else {
+                                assert_eq!(c.put(key, i).unwrap(), model.insert(key, i));
+                                issued += 1;
+                            }
+                        }
+                        (issued, model)
+                    })
                 })
-            };
-            // Wait until A is parked holding its claim.
-            while parked.load(Ordering::SeqCst) == 0 {
-                std::thread::yield_now();
-            }
-            let mut b = store.client();
-            gate.wait();
-            // B combines for itself despite A's advisory flag being
-            // held (the forced-takeover path) — B must complete while A
-            // is still parked.
-            assert_eq!(b.put(2, 22).unwrap(), None);
-            assert_eq!(b.get(2).unwrap(), Some(22));
-            gate.wait(); // release A
-            a.join().unwrap()
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .collect()
         });
-        assert_eq!(a_result, None, "A's put must have applied exactly once");
-        let mut c = store.client();
-        assert_eq!(c.get(1).unwrap(), Some(11));
-        assert_eq!(c.get(2).unwrap(), Some(22));
-        assert!(store.verify(&mut [c]).all_consistent());
-    }
-
-    #[test]
-    fn reclaim_cannot_double_apply_against_a_resuming_combiner() {
-        // The seal/reclaim race, driven deterministically through the
-        // split-phase API: A claims both pending units and stalls
-        // (models a combiner killed between claim and execute); B
-        // outwaits the lease bound, reclaims its op, and force-combines
-        // it past A's wedged advisory flag. When A resumes, the seal on
-        // B's slot must fail — B's op was someone else's to apply — so
-        // each op applies exactly once.
-        let store = Store::new(
-            StoreConfig::builder()
-                .shards(1)
-                .backend(Backend::reliable())
-                .combining(true)
-                .reclaim_after(4)
-                .build()
-                .unwrap(),
-        );
-        let mut a = store.client();
-        let mut b = store.client();
-        let mut pa = a.publish_to_shard(0, &[KvOp::Put(1, 11)]).unwrap();
-        let mut pb = b.publish_to_shard(0, &[KvOp::Put(2, 22)]).unwrap();
-        let ticket = a.combine_begin(0, false).expect("nothing was pending");
-        // B's first polls find the unit claimed; past the bound the
-        // embedded reclaim republishes it under a fresh epoch.
-        for _ in 0..8 {
-            assert!(b.poll_published(&mut pb).unwrap().is_none());
-        }
-        assert!(
-            b.combine_begin(0, false).is_none(),
-            "the stalled pass still holds the advisory flag"
-        );
-        let tb = b.combine_begin(0, true).expect("reclaimed op not pending");
-        assert!(b.combine_finish(tb));
-        assert_eq!(b.poll_published(&mut pb).unwrap(), Some(vec![None]));
-        // A resumes its stale pass: B's slot drops out via the failed
-        // seal CAS, A's own op still applies.
-        assert!(a.combine_finish(ticket));
-        assert_eq!(a.poll_published(&mut pa).unwrap(), Some(vec![None]));
+        let issued: u64 = results.iter().map(|(n, _)| n).sum();
         let stats = store.combine_snapshot().unwrap();
-        assert!(stats.reclaims >= 1, "{stats:?}");
-        assert_eq!(stats.combined_ops, 2, "an op was applied twice: {stats:?}");
+        assert_eq!(stats.combined_ops, issued, "{stats:?}");
         let mut c = store.client();
-        assert_eq!(c.get(1).unwrap(), Some(11));
-        assert_eq!(c.get(2).unwrap(), Some(22));
-        assert!(store.verify(&mut [a, b, c]).all_consistent());
-    }
-
-    #[test]
-    fn without_lease_a_dead_combiner_parks_claimed_ops() {
-        // The ROADMAP bug the lease rule fixes, pinned at unit level
-        // (the DST kill-the-combiner scenario pins it at whole-system
-        // level): with `combiner_lease(false)`, an op claimed by a dead
-        // combiner is stuck — no amount of polling reclaims it, and a
-        // forced takeover pass finds nothing pending to drain.
-        let store = Store::new(
-            StoreConfig::builder()
-                .shards(1)
-                .backend(Backend::reliable())
-                .combining(true)
-                .combiner_lease(false)
-                .reclaim_after(4)
-                .build()
-                .unwrap(),
-        );
-        let mut a = store.client();
-        let mut b = store.client();
-        let mut pa = a.publish_to_shard(0, &[KvOp::Put(1, 11)]).unwrap();
-        let mut pb = b.publish_to_shard(0, &[KvOp::Put(2, 22)]).unwrap();
-        let ticket = a.combine_begin(0, false).expect("nothing was pending");
-        for _ in 0..64 {
-            assert!(
-                b.poll_published(&mut pb).unwrap().is_none(),
-                "parked op delivered with the lease off"
-            );
+        for (t, (_, model)) in results.iter().enumerate() {
+            for key in (0..23)
+                .flat_map(|k| [k, k + 100])
+                .map(|k| t as u32 * 1000 + k)
+            {
+                assert_eq!(c.get(key).unwrap(), model.get(&key).copied(), "key {key}");
+            }
         }
-        assert!(
-            b.combine_begin(0, true).is_none(),
-            "a CLAIMED op must not be re-claimable without the lease"
-        );
-        // Only the original combiner resuming can unpark the ops.
-        assert!(a.combine_finish(ticket));
-        assert_eq!(a.poll_published(&mut pa).unwrap(), Some(vec![None]));
-        assert_eq!(b.poll_published(&mut pb).unwrap(), Some(vec![None]));
+        assert!(store.verify(&mut [c]).all_consistent());
     }
 
     #[test]
@@ -1017,6 +537,38 @@ mod tests {
         assert!(
             saw_detection,
             "naive cells at 100% fault rate were never detected via combining"
+        );
+    }
+
+    #[test]
+    fn verify_catches_junk_in_the_snapshot_boundary_cell() {
+        // Exactly two checkpoint intervals of puts: the last checkpoint
+        // truncates the whole log, so no replay reads the cells the
+        // arbitrary faults wrote. Re-deciding the installed snapshot's
+        // boundary cell is what exposes the junk.
+        let store = Store::new(
+            StoreConfig::builder()
+                .shards(1)
+                .backend(Backend::naive())
+                .fault(crate::FaultConfig {
+                    kind: ff_spec::FaultKind::Arbitrary,
+                    rate: 1.0,
+                    ..crate::FaultConfig::default()
+                })
+                .combining(true)
+                .checkpoint_interval(8)
+                .build()
+                .unwrap(),
+        );
+        let mut c = store.client();
+        for i in 0..16 {
+            // Divergence may also surface mid-run; verify must flag it
+            // either way.
+            let _ = c.put(i, i);
+        }
+        assert!(
+            !store.verify(&mut [c]).all_consistent(),
+            "naive cells at 100% arbitrary faults verified consistent"
         );
     }
 }

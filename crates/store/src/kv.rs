@@ -44,6 +44,22 @@ impl KvOp {
             KvOp::Get(k) | KvOp::Put(k, _) | KvOp::Del(k) => k,
         }
     }
+
+    /// Check the key (and a PUT's value) against the 28-bit space
+    /// ([`KV_MAX`](crate::KV_MAX)) — the one validation every path
+    /// into a store applies before an operation is encoded.
+    pub fn validate(&self) -> Result<(), StoreError> {
+        let key = self.key();
+        if key > crate::KV_MAX {
+            return Err(StoreError::KeyOutOfRange { key });
+        }
+        if let KvOp::Put(_, value) = *self {
+            if value > crate::KV_MAX {
+                return Err(StoreError::ValueOutOfRange { value });
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Everything a [`Kv`] operation can fail with — local validation,

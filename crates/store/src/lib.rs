@@ -60,8 +60,8 @@ pub use map::{KvMap, KV_BITS, KV_MAX};
 pub use metrics::{DurabilitySnapshot, MetricsSnapshot, ShardFaults, StoreMetrics};
 pub use recover::{RecoverError, RecoveryReport, ShardRecovery};
 pub use soak::{
-    drive_clients, drive_clients_with_clock, run_soak, try_run_soak, DriveOutcome, SoakConfig,
-    SoakReport, WorkloadMix,
+    drive_clients, drive_clients_with_clock, run_soak, try_run_soak, DriveOutcome, OpStream,
+    SoakConfig, SoakReport, WorkloadMix,
 };
 pub use substrate::{
     all_backends, register, substrate_names, Backend, CellCtx, DuplicateSubstrate, ShardCells,
@@ -93,22 +93,13 @@ pub struct StoreConfig {
     /// Checkpoint interval in log slots (bounds each shard's retained
     /// log).
     pub checkpoint_interval: usize,
-    /// Route client operations through per-shard flat-combining cores:
-    /// pending ops are drained by one combiner into a single batched
-    /// log append, and GETs answer wait-free from the shared core
-    /// replica whenever its applied index covers the observed tail
-    /// (see [`combine`]). Off, every op pays its own log pass.
+    /// Route client operations through one shared core replica per
+    /// shard: each call appends its ops to the shard's log as one
+    /// batched record under the core's lock, and GETs answer wait-free
+    /// from the core replica whenever its applied index covers the
+    /// observed tail (see [`combine`]). Off, every client keeps its own
+    /// replica per shard and every op pays its own log pass.
     pub combining: bool,
-    /// Combiner crash recovery (the lease/epoch rule, see [`combine`]):
-    /// a waiter whose op stays `CLAIMED` past [`StoreConfig::reclaim_after`]
-    /// polls takes it back and republishes it under a fresh epoch, so a
-    /// combiner that dies between claiming and executing cannot park
-    /// ops forever. On by default; turning it off reproduces the
-    /// parked-ops bug (the DST pinned-seed regression arm).
-    pub combiner_lease: bool,
-    /// Polls a waiter tolerates a `CLAIMED` op before the lease rule
-    /// reclaims it (only meaningful with [`StoreConfig::combiner_lease`]).
-    pub reclaim_after: u32,
     /// Seed for all deterministic fault streams and routing salts.
     pub seed: u64,
     /// Durability: per-shard write-ahead logging and crash recovery
@@ -125,8 +116,6 @@ impl Default for StoreConfig {
             rotate_kinds: false,
             checkpoint_interval: 64,
             combining: false,
-            combiner_lease: true,
-            reclaim_after: 4096,
             seed: 0x5eed,
             durability: DurabilityConfig::default(),
         }
@@ -285,25 +274,11 @@ impl StoreConfigBuilder {
         self
     }
 
-    /// Route operations through the per-shard flat-combining cores
-    /// (batched log appends + wait-free read snapshots); see
+    /// Route operations through the per-shard core replicas (batched
+    /// log appends + wait-free read snapshots); see
     /// [`StoreConfig::combining`].
     pub fn combining(mut self, on: bool) -> Self {
         self.config.combining = on;
-        self
-    }
-
-    /// Combiner crash recovery on or off; see
-    /// [`StoreConfig::combiner_lease`].
-    pub fn combiner_lease(mut self, on: bool) -> Self {
-        self.config.combiner_lease = on;
-        self
-    }
-
-    /// Polls before the lease rule reclaims a `CLAIMED` op; see
-    /// [`StoreConfig::reclaim_after`].
-    pub fn reclaim_after(mut self, polls: u32) -> Self {
-        self.config.reclaim_after = polls;
         self
     }
 
@@ -356,7 +331,7 @@ struct Shard {
     kind_label: &'static str,
 }
 
-/// The flat-combining layer: one core per shard plus the store-wide
+/// The combining layer: one core per shard plus the store-wide
 /// counters, shared by every combining client via `Arc`.
 struct CombineLayer {
     cores: Vec<combine::ShardCore>,
@@ -557,14 +532,7 @@ impl Store {
                     .iter()
                     .enumerate()
                     .map(|(s, sh)| {
-                        combine::ShardCore::new(
-                            s,
-                            Arc::clone(&sh.log),
-                            0,
-                            Arc::clone(&stats),
-                            config.combiner_lease,
-                            config.reclaim_after,
-                        )
+                        combine::ShardCore::new(s, Arc::clone(&sh.log), 0, Arc::clone(&stats))
                     })
                     .collect(),
                 stats,
@@ -693,13 +661,9 @@ impl Store {
             // the 10-bit pid space no longer caps the client count, and
             // clients hold no private replicas whose watermarks could
             // stall checkpoint truncation.
-            let slots = layer.cores.iter().map(|core| core.register()).collect();
             return Some(StoreClient {
                 handles: Vec::new(),
-                combined: Some(CombinedView {
-                    layer: Arc::clone(layer),
-                    slots,
-                }),
+                combined: Some(Arc::clone(layer)),
             });
         }
         let pid = self
@@ -722,11 +686,6 @@ impl Store {
     /// built with `combining(false)`.
     pub fn combine_snapshot(&self) -> Option<CombineSnapshot> {
         self.combine.as_ref().map(|layer| layer.stats.snapshot())
-    }
-
-    #[cfg(test)]
-    pub(crate) fn shard_core_for_tests(&self, s: usize) -> &combine::ShardCore {
-        &self.combine.as_ref().expect("combining store").cores[s]
     }
 
     /// Catch every replica of `clients` up to the end of each shard's
@@ -756,6 +715,10 @@ impl Store {
         let per_shard = (0..self.shards.len())
             .map(|s| {
                 let log = &self.shards[s].log;
+                // Replays only read cells above the snapshot; a
+                // checkpoint that truncated the whole log leaves the
+                // boundary cell as the one decided cell left to check.
+                log.confirm_snapshot_boundary();
                 // Combining clients hold no private replicas; the
                 // shared core replica stands in for them (`core_ok`).
                 let handles: Vec<&Handle<KvMap>> = clients
@@ -810,83 +773,29 @@ impl Store {
     }
 }
 
-/// A combining client's half of [`StoreClient`]: the shared layer plus
-/// this client's registered announce slot on every shard core.
-struct CombinedView {
-    layer: Arc<CombineLayer>,
-    slots: Vec<Arc<combine::Slot>>,
-}
-
 /// A worker's view of the store: one replica handle per shard — or, in
-/// combining mode, one announce slot per shard core and no private
-/// replicas at all.
+/// combining mode, the shared shard cores and no private replicas at
+/// all.
 pub struct StoreClient {
     handles: Vec<Handle<KvMap>>,
-    combined: Option<CombinedView>,
-}
-
-/// An in-flight split-phase publication on one shard core (see
-/// [`StoreClient::publish_to_shard`]). Tracks how many polls the owner
-/// has spent, which is what arms the lease reclaim.
-pub struct PendingCombined {
-    shard: usize,
-    polls: u32,
-    n_ops: usize,
-}
-
-impl PendingCombined {
-    /// The shard the unit was published to.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// Polls spent waiting so far.
-    pub fn polls(&self) -> u32 {
-        self.polls
-    }
-}
-
-/// A claimed-but-not-yet-executed combine pass (see
-/// [`StoreClient::combine_begin`]). Deliberately has no `Drop` cleanup:
-/// abandoning a ticket leaves its claims `CLAIMED`, which is exactly
-/// how a crashed combiner looks to everyone else.
-pub struct CombineTicket {
-    shard: usize,
-    pass: combine::CombinePass,
-}
-
-impl CombineTicket {
-    /// The shard this pass claimed on.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-}
-
-impl Drop for StoreClient {
-    fn drop(&mut self) {
-        if let Some(cb) = &self.combined {
-            for (core, slot) in cb.layer.cores.iter().zip(&cb.slots) {
-                core.unregister(slot);
-            }
-        }
-    }
+    combined: Option<Arc<CombineLayer>>,
 }
 
 impl StoreClient {
     fn shard_for(&self, key: u32) -> usize {
         let n = match &self.combined {
-            Some(cb) => cb.layer.cores.len(),
+            Some(layer) => layer.cores.len(),
             None => self.handles.len(),
         };
         (splitmix64(key as u64) % n as u64) as usize
     }
 
-    /// Publish validated op words to shard `s`'s combining core and
-    /// wait for a combiner (possibly this thread) to deliver.
+    /// Run validated op words on shard `s`'s core as one critical
+    /// section.
     fn submit_combined(&self, s: usize, words: &[u64]) -> Result<Vec<u64>, StoreError> {
-        let cb = self.combined.as_ref().expect("combining mode");
-        cb.layer.cores[s]
-            .submit(&cb.slots[s], words)
+        let layer = self.combined.as_ref().expect("combining mode");
+        layer.cores[s]
+            .submit(words)
             .map_err(|shard| StoreError::Divergence { shard })
     }
 
@@ -906,148 +815,13 @@ impl StoreClient {
         Ok(KvMap::decode_response(resp))
     }
 
-    fn check_key(key: u32) -> Result<(), StoreError> {
-        if key > KV_MAX {
-            return Err(StoreError::KeyOutOfRange { key });
-        }
-        Ok(())
-    }
-
-    fn check_value(value: u32) -> Result<(), StoreError> {
-        if value > KV_MAX {
-            return Err(StoreError::ValueOutOfRange { value });
-        }
-        Ok(())
-    }
-
     fn op_word(op: KvOp) -> Result<u64, StoreError> {
-        Self::check_key(op.key())?;
+        op.validate()?;
         Ok(match op {
             KvOp::Get(k) => KvMap::get_op(k),
-            KvOp::Put(k, v) => {
-                Self::check_value(v)?;
-                KvMap::put_op(k, v)
-            }
+            KvOp::Put(k, v) => KvMap::put_op(k, v),
             KvOp::Del(k) => KvMap::del_op(k),
         })
-    }
-
-    /// Whether this client routes through the flat-combining cores
-    /// (and therefore supports the split-phase API below).
-    pub fn is_combining(&self) -> bool {
-        self.combined.is_some()
-    }
-
-    /// Split-phase API, step 1 — publish validated `ops` (all routing
-    /// to shard `shard`) as one pending unit on that shard's combining
-    /// core, without blocking. At most one unit per shard may be in
-    /// flight per client; drive it with [`StoreClient::poll_published`]
-    /// and [`StoreClient::combine_begin`]/[`StoreClient::combine_finish`].
-    /// This is the seam the deterministic simulator schedules through:
-    /// every blocking wait in [`Kv`] is these primitives in a loop.
-    pub fn publish_to_shard(
-        &mut self,
-        shard: usize,
-        ops: &[KvOp],
-    ) -> Result<PendingCombined, StoreError> {
-        let words: Vec<u64> = ops
-            .iter()
-            .map(|&op| {
-                if self.shard_for(op.key()) != shard {
-                    return Err(StoreError::Protocol(format!(
-                        "op on key {} does not route to shard {shard}",
-                        op.key()
-                    )));
-                }
-                Self::op_word(op)
-            })
-            .collect::<Result<_, _>>()?;
-        if words.is_empty() {
-            return Err(StoreError::Protocol("empty publication".to_string()));
-        }
-        let cb = self
-            .combined
-            .as_ref()
-            .ok_or_else(|| StoreError::Protocol("not a combining store".to_string()))?;
-        if cb.layer.cores[shard].in_flight(&cb.slots[shard]) {
-            return Err(StoreError::Protocol(format!(
-                "shard {shard} already has a unit in flight"
-            )));
-        }
-        cb.layer.cores[shard].publish(&cb.slots[shard], &words);
-        Ok(PendingCombined {
-            shard,
-            polls: 0,
-            n_ops: words.len(),
-        })
-    }
-
-    /// Split-phase API, step 2 — one non-blocking poll of an in-flight
-    /// unit. Returns `Ok(Some(results))` when delivered (one entry per
-    /// published op), `Ok(None)` while still pending or claimed, and
-    /// `Err(Divergence)` when the shard's log holds divergence
-    /// evidence. The owner-side lease reclaim is embedded here: past
-    /// the configured bound, a still-`CLAIMED` unit is taken back from
-    /// its dead or stalled combiner and republished.
-    pub fn poll_published(
-        &mut self,
-        pending: &mut PendingCombined,
-    ) -> Result<Option<Vec<Option<u32>>>, StoreError> {
-        let cb = self
-            .combined
-            .as_ref()
-            .ok_or_else(|| StoreError::Protocol("not a combining store".to_string()))?;
-        let core = &cb.layer.cores[pending.shard];
-        let waited = pending.polls;
-        pending.polls = pending.polls.saturating_add(1);
-        match core.poll(&cb.slots[pending.shard], waited) {
-            combine::SlotPoll::Ready(words) => {
-                debug_assert_eq!(words.len(), pending.n_ops);
-                Ok(Some(
-                    words.iter().map(|&w| KvMap::decode_response(w)).collect(),
-                ))
-            }
-            combine::SlotPoll::Failed => Err(StoreError::Divergence {
-                shard: pending.shard,
-            }),
-            combine::SlotPoll::Pending | combine::SlotPoll::Claimed => Ok(None),
-        }
-    }
-
-    /// Split-phase API, step 3 — run the claim phase of a combine pass
-    /// on `shard`. Returns `None` when the advisory combiner flag is
-    /// held by someone else (`force` bypasses it — the takeover path a
-    /// waiter escalates to when the flag's holder died) or when nothing
-    /// was pending. **Dropping the ticket without
-    /// [`StoreClient::combine_finish`] models a combiner crash**: the
-    /// claims stay parked until their owners' lease reclaims fire.
-    pub fn combine_begin(&mut self, shard: usize, force: bool) -> Option<CombineTicket> {
-        let cb = self.combined.as_ref()?;
-        cb.layer.cores[shard]
-            .begin_combine(force)
-            .map(|pass| CombineTicket { shard, pass })
-    }
-
-    /// Split-phase API, step 4 — seal, execute and distribute a claimed
-    /// pass. Returns whether any ops were drained (claims reclaimed in
-    /// the meantime drop out of the batch via the seal CAS).
-    pub fn combine_finish(&mut self, ticket: CombineTicket) -> bool {
-        let Some(cb) = self.combined.as_ref() else {
-            return false;
-        };
-        cb.layer.cores[ticket.shard].finish_combine(ticket.pass)
-    }
-
-    /// The wait-free read snapshot, exposed for split-phase drivers:
-    /// `None` when freshness is unprovable (fall back to the combined
-    /// path), `Some(Err)` on divergence evidence. Returns `None` for
-    /// non-combining clients.
-    pub fn fast_read(&self, key: u32) -> Option<Result<Option<u32>, StoreError>> {
-        let cb = self.combined.as_ref()?;
-        let s = self.shard_for(key);
-        cb.layer.cores[s]
-            .fast_get(key)
-            .map(|r| r.map_err(|shard| StoreError::Divergence { shard }))
     }
 
     /// This client's replica of shard `s` (for tests/verification).
@@ -1063,29 +837,28 @@ impl StoreClient {
 
 impl Kv for StoreClient {
     fn get(&mut self, key: u32) -> Result<Option<u32>, StoreError> {
-        Self::check_key(key)?;
-        if let Some(cb) = &self.combined {
+        let word = Self::op_word(KvOp::Get(key))?;
+        if let Some(layer) = &self.combined {
             // Wait-free read fast path: answer from the shared core
             // replica when its applied index provably covers the
             // shard's observed tail; otherwise linearize through the
-            // combined path like any other op.
+            // locked path like any other op.
             let s = self.shard_for(key);
-            if let Some(fast) = cb.layer.cores[s].fast_get(key) {
+            if let Some(fast) = layer.cores[s].fast_get(key) {
                 return fast.map_err(|shard| StoreError::Divergence { shard });
             }
         }
-        self.invoke_checked(key, KvMap::get_op(key))
+        self.invoke_checked(key, word)
     }
 
     fn put(&mut self, key: u32, value: u32) -> Result<Option<u32>, StoreError> {
-        Self::check_key(key)?;
-        Self::check_value(value)?;
-        self.invoke_checked(key, KvMap::put_op(key, value))
+        let word = Self::op_word(KvOp::Put(key, value))?;
+        self.invoke_checked(key, word)
     }
 
     fn del(&mut self, key: u32) -> Result<Option<u32>, StoreError> {
-        Self::check_key(key)?;
-        self.invoke_checked(key, KvMap::del_op(key))
+        let word = Self::op_word(KvOp::Del(key))?;
+        self.invoke_checked(key, word)
     }
 
     /// Stable-groups `ops` by destination shard, so each shard's log
@@ -1105,9 +878,8 @@ impl Kv for StoreClient {
         order.sort_by_key(|&i| self.shard_for(ops[i].key()));
         let mut out = vec![None; ops.len()];
         if self.combined.is_some() {
-            // One pending unit per destination shard: the whole group
-            // rides a single combine pass (often merged with other
-            // clients' groups into one decided log slot).
+            // One core call per destination shard: the whole group
+            // rides a single decided log slot.
             let mut i = 0;
             while i < order.len() {
                 let s = self.shard_for(ops[order[i]].key());

@@ -156,7 +156,7 @@ pub struct MetricsSnapshot {
     pub batches: OpSummary,
     /// Per-shard fault accounting.
     pub faults: Vec<ShardFaults>,
-    /// Flat-combining counters, when the store ran with combining on
+    /// Shard-core counters, when the store ran with combining on
     /// (see [`Store::combine_snapshot`](crate::Store::combine_snapshot)).
     pub combining: Option<CombineSnapshot>,
     /// Durability counters, when the store ran with a write-ahead log

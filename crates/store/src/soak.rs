@@ -40,7 +40,7 @@ pub struct SoakConfig {
     pub keyspace: u32,
     /// Checkpoint interval (slots) for every shard log.
     pub checkpoint_interval: usize,
-    /// Route operations through the flat-combining cores
+    /// Route operations through the combining shard cores
     /// ([`StoreConfig::combining`]).
     pub combining: bool,
     /// Per-shard write-ahead logging ([`StoreConfig::durability`]);
@@ -111,7 +111,7 @@ pub struct SoakConfigEcho {
     pub backend: &'static str,
     /// Checkpoint interval.
     pub checkpoint_interval: usize,
-    /// Whether the flat-combining path was on.
+    /// Whether the combining path was on.
     pub combining: bool,
     /// Whether the per-shard WAL was on.
     pub durable: bool,
@@ -260,11 +260,6 @@ impl SoakReport {
     }
 }
 
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    splitmix64(*state)
-}
-
 /// The workload shape shared by every driver of a [`Kv`]
 /// implementation: the in-process soak, E16's over-TCP soak and
 /// `netbench` all describe their traffic with this and run it through
@@ -349,18 +344,14 @@ pub fn drive_clients_with_clock<K: Kv + Send>(
             .into_iter()
             .enumerate()
             .map(|(w, mut client)| {
-                let mut rng = splitmix64(mix_cfg.seed ^ (w as u64) << 32);
-                let keyspace = mix_cfg.keyspace.max(1);
-                let read_pct = mix_cfg.read_pct;
+                let mut stream = OpStream::new(mix_cfg, w);
                 let batch = mix_cfg.batch;
                 let metrics = &*metrics;
                 scope.spawn(move || {
                     let mut error = None;
                     'work: while clock.now_nanos() < deadline_nanos {
                         if batch > 1 {
-                            let ops: Vec<KvOp> = (0..batch)
-                                .map(|_| random_op(&mut rng, keyspace, read_pct))
-                                .collect();
+                            let ops: Vec<KvOp> = (0..batch).map(|_| stream.next_op()).collect();
                             let start = clock.now_nanos();
                             match client.batch(&ops) {
                                 Ok(_) => metrics.batches.record_many(
@@ -373,7 +364,7 @@ pub fn drive_clients_with_clock<K: Kv + Send>(
                                 }
                             }
                         } else {
-                            let op = random_op(&mut rng, keyspace, read_pct);
+                            let op = stream.next_op();
                             let start = clock.now_nanos();
                             let (result, m) = match op {
                                 KvOp::Get(k) => (client.get(k), &metrics.reads),
@@ -408,16 +399,40 @@ pub fn drive_clients_with_clock<K: Kv + Send>(
     DriveOutcome { clients, errors }
 }
 
-fn random_op(rng: &mut u64, keyspace: u32, read_pct: u32) -> KvOp {
-    let r = mix(rng);
-    let key = (r >> 32) as u32 % keyspace;
-    let dice = (r % 100) as u32;
-    if dice < read_pct {
-        KvOp::Get(key)
-    } else if dice < read_pct + (100 - read_pct) * 2 / 3 {
-        KvOp::Put(key, (r as u32) & KV_MAX)
-    } else {
-        KvOp::Del(key)
+/// One worker's operation stream under a [`WorkloadMix`]: `read_pct`
+/// GETs, the rest split 2:1 between PUTs and DELs, keys uniform over
+/// the keyspace. The stream is a function of `(seed, worker)` alone, so
+/// every driver — the in-process soak, E16 over TCP, `netbench` —
+/// issues the same operations for the same seed.
+pub struct OpStream {
+    state: u64,
+    keyspace: u32,
+    read_pct: u32,
+}
+
+impl OpStream {
+    /// Worker `worker`'s stream under `mix`.
+    pub fn new(mix: &WorkloadMix, worker: usize) -> Self {
+        OpStream {
+            state: splitmix64(mix.seed ^ (worker as u64) << 32),
+            keyspace: mix.keyspace.max(1),
+            read_pct: mix.read_pct,
+        }
+    }
+
+    /// The next operation (SplitMix64 over a Weyl sequence).
+    pub fn next_op(&mut self) -> KvOp {
+        let r = splitmix64(self.state);
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let key = (r >> 32) as u32 % self.keyspace;
+        let dice = (r % 100) as u32;
+        if dice < self.read_pct {
+            KvOp::Get(key)
+        } else if dice < self.read_pct + (100 - self.read_pct) * 2 / 3 {
+            KvOp::Put(key, (r as u32) & KV_MAX)
+        } else {
+            KvOp::Del(key)
+        }
     }
 }
 
@@ -537,6 +552,29 @@ pub fn try_run_soak(config: &SoakConfig) -> Result<SoakReport, RecoverError> {
 mod tests {
     use super::*;
     use crate::clock::ManualClock;
+
+    #[test]
+    fn op_stream_depends_only_on_seed_and_worker() {
+        let mix = WorkloadMix {
+            read_pct: 50,
+            keyspace: 64,
+            seed: 7,
+            batch: 1,
+        };
+        let take = |worker| {
+            let mut s = OpStream::new(&mix, worker);
+            (0..200).map(|_| s.next_op()).collect::<Vec<_>>()
+        };
+        assert_eq!(take(0), take(0));
+        assert_ne!(take(0), take(1));
+        let ops = take(0);
+        assert!(ops.iter().all(|op| op.key() < 64));
+        let gets = ops.iter().filter(|op| matches!(op, KvOp::Get(_))).count();
+        assert!(
+            (70..130).contains(&gets),
+            "{gets} GETs of 200 at read_pct 50"
+        );
+    }
 
     #[test]
     fn manual_clock_controls_drive_deadline_and_stamps() {

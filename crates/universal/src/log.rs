@@ -97,7 +97,7 @@ fn digest_step(digest: u64, opid: u32) -> u64 {
 }
 
 /// An announced operation record: a single encoded op word, or a
-/// combiner's batch of op words. A batch is decided by **one** consensus
+/// batch of op words appended as one. A batch is decided by **one** consensus
 /// decision (its opid occupies one slot) but is applied op-by-op on
 /// every replica, so `Replicated` semantics, checkpoint boundaries, and
 /// the decided-opid digests are unchanged — the digest folds the
@@ -111,7 +111,7 @@ fn digest_step(digest: u64, opid: u32) -> u64 {
 pub enum SlotRecord {
     /// One encoded op word.
     Single(u64),
-    /// A combiner's batch of encoded op words (applied op-by-op).
+    /// A batch of encoded op words (applied op-by-op).
     Batch(Arc<[u64]>),
 }
 
@@ -345,7 +345,7 @@ impl UniversalLog {
     }
 
     /// Publish a multi-op batch record before proposing its id (the
-    /// flat-combining append: one decided slot, many ops).
+    /// batched append: one decided slot, many ops).
     fn announce_record(&self, opid: u32, ops: Arc<[u64]>) {
         assert!(!ops.is_empty(), "a batch record needs at least one op");
         self.announce.lock().insert(opid, SlotRecord::Batch(ops));
@@ -521,6 +521,28 @@ impl UniversalLog {
     /// [`Self::divergence_detected`]).
     fn mark_diverged(&self) {
         self.diverged.store(true, Ordering::Release);
+    }
+
+    /// Re-decide the installed snapshot's boundary cell, proposing the
+    /// snapshot slot, and mark divergence on any other answer. Agreement
+    /// says a second decide returns the first decision, so a cell that
+    /// answered its crosser correctly but stored junk (an arbitrary-fault
+    /// swap) is caught here even when truncation left no slot cell for a
+    /// replay to read. Skipped when the cell was never built — a snapshot
+    /// installed by recovery was decided in an earlier life.
+    pub fn confirm_snapshot_boundary(&self) {
+        let (Some(interval), Some(slot)) = (
+            self.interval,
+            self.ckpt.lock().snapshot.as_ref().map(|s| s.slot),
+        ) else {
+            return;
+        };
+        let Some(cell) = self.boundaries.lock().get(slot / interval - 1).cloned() else {
+            return;
+        };
+        if cell.decide(Input(slot as u32)).0 as usize != slot {
+            self.mark_diverged();
+        }
     }
 
     /// Register a new handle: assign it a watermark key and give it the
@@ -758,7 +780,11 @@ impl<T: Replicated> Handle<T> {
             }
         }
         self.applied.push(decided);
-        self.applied_set.insert(decided);
+        // Only helping reads the set (`help_target` returns before its
+        // closure without it), and it grows with every decided slot.
+        if self.core.helping_n.is_some() {
+            self.applied_set.insert(decided);
+        }
         self.core.clear_pending(OpId::unpack(decided).pid, decided);
         self.after_apply(decided, &record);
         last
@@ -873,10 +899,11 @@ impl<T: Replicated> Handle<T> {
         }
     }
 
-    /// Invoke a *batch* of encoded operations as one log append (the
-    /// flat-combining fast path): the whole batch is announced as a
-    /// single multi-op record, decided by **one** consensus decision,
-    /// and applied op-by-op wherever the record lands in the log —
+    /// Invoke a *batch* of encoded operations as one log append (what
+    /// a store's combining shard cores run per call): the whole batch
+    /// is announced as a single multi-op record, decided by **one**
+    /// consensus decision, and applied op-by-op wherever the record
+    /// lands in the log —
     /// on this replica and on every other replica that replays the
     /// slot. Returns one response per operation, in order.
     ///
@@ -1159,6 +1186,20 @@ mod tests {
             }
         }
         assert!(diverged, "naive cells never diverged under 100% fault rate");
+    }
+
+    #[test]
+    fn non_helping_handles_keep_no_applied_set() {
+        // Only helping consults the set of applied opids; without it the
+        // set would grow by one entry per decided slot, forever.
+        let core = Arc::new(UniversalLog::new(Arc::new(ReliableCells)));
+        let mut h = Handle::new(Arc::clone(&core), 0, Counter::default());
+        for _ in 0..100 {
+            h.invoke(Counter::add_op(1));
+        }
+        h.invoke_many(&[Counter::add_op(1), Counter::add_op(1)]);
+        assert_eq!(h.applied_log().len(), 101);
+        assert!(h.applied_set.is_empty(), "{} entries", h.applied_set.len());
     }
 
     #[test]
