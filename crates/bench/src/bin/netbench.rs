@@ -31,9 +31,7 @@
 //! `--sweep` replaces the single robust run with the connection-scaling
 //! trajectory 100 → 1,000 → 10,000. Connections the OS refuses (fd
 //! limits at the top point) are reported as `achieved_connections`, not
-//! treated as failure. Every report embeds the retired
-//! thread-per-connection baseline (3 connections, ~305k ops/s, p99
-//! ≈ 262µs) so the JSON carries its own comparison.
+//! treated as failure.
 //!
 //! The full report lands in `BENCH_net.json` (`--json-out` overrides).
 
@@ -49,44 +47,6 @@ use ff_store::{
     StoreError, StoreMetrics, WorkloadMix,
 };
 use ff_workload::JsonValue;
-
-/// The retired thread-per-connection server's best measured run (3
-/// connections, `drive_clients`, batch 8, 1-core CI box) — the bar the
-/// reactor has to clear while holding 100–10,000 connections.
-///
-/// **Historical**: that server was deleted when the reactor landed, so
-/// this number can never be regenerated — the JSON marks it
-/// `"historical": true` so downstream tooling doesn't mistake it for a
-/// measured arm of the current run.
-struct Baseline {
-    connections: usize,
-    ops_per_sec: f64,
-    p99_us: f64,
-}
-
-const BASELINE: Baseline = Baseline {
-    connections: 3,
-    ops_per_sec: 305_000.0,
-    p99_us: 262.0,
-};
-
-impl Baseline {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "driver".into(),
-                JsonValue::String("thread-per-connection".into()),
-            ),
-            ("historical".into(), JsonValue::Bool(true)),
-            (
-                "connections".into(),
-                JsonValue::Number(self.connections as f64),
-            ),
-            ("ops_per_sec".into(), JsonValue::Number(self.ops_per_sec)),
-            ("p99_us".into(), JsonValue::Number(self.p99_us)),
-        ])
-    }
-}
 
 /// The `--sweep` trajectory: two orders of magnitude past the old
 /// server's practical ceiling.
@@ -180,10 +140,6 @@ impl ArmReport {
                 "ops_per_sec".into(),
                 JsonValue::Number(self.snapshot.total_ops_per_sec()),
             ),
-            (
-                "speedup_vs_baseline".into(),
-                JsonValue::Number(self.snapshot.total_ops_per_sec() / BASELINE.ops_per_sec),
-            ),
             ("latency".into(), self.snapshot.to_json()),
             (
                 "client_errors".into(),
@@ -233,14 +189,12 @@ impl ArmReport {
             .max_by_key(|c| c.ops)
             .expect("four candidate classes");
         println!(
-            "{label}: {}/{} connection(s), {} ops served, {:.0} ops/sec \
-             (×{:.2} vs thread-per-connection baseline), \
+            "{label}: {}/{} connection(s), {} ops served, {:.0} ops/sec, \
              p50 {:.0}µs p95 {:.0}µs p99 {:.0}µs, consistent: {}",
             self.connections_achieved,
             self.connections_requested,
             self.ops_served,
             s.total_ops_per_sec(),
-            s.total_ops_per_sec() / BASELINE.ops_per_sec,
             busiest.p50_ns as f64 / 1000.0,
             busiest.p95_ns as f64 / 1000.0,
             busiest.p99_ns as f64 / 1000.0,
@@ -495,7 +449,6 @@ fn run_arm(
         ServerConfig {
             max_connections: connections + 16,
             loops: cfg.loops,
-            ..ServerConfig::default()
         },
     )
     .unwrap_or_else(|e| {
@@ -719,36 +672,33 @@ fn main() {
 
     let verdict = robust_ok && naive.as_ref().is_none_or(|n| n.flagged());
 
-    let mut doc = vec![
-        (
-            "config".to_string(),
-            JsonValue::Object(vec![
-                (
-                    "connections".into(),
-                    JsonValue::Number(cfg.connections as f64),
-                ),
-                ("shards".into(), JsonValue::Number(cfg.shards as f64)),
-                ("secs".into(), JsonValue::Number(cfg.secs)),
-                ("batch".into(), JsonValue::Number(cfg.batch as f64)),
-                ("read_pct".into(), JsonValue::Number(cfg.read_pct as f64)),
-                ("keyspace".into(), JsonValue::Number(cfg.keyspace as f64)),
-                ("fault_rate".into(), JsonValue::Number(cfg.fault_rate)),
-                ("seed".into(), JsonValue::Number(cfg.seed as f64)),
-                ("loops".into(), JsonValue::Number(cfg.loops as f64)),
-                ("combining".into(), JsonValue::Bool(cfg.combining)),
-                ("sweep".into(), JsonValue::Bool(cfg.sweep)),
-                (
-                    "transport".into(),
-                    JsonValue::String("tcp-localhost".into()),
-                ),
-                (
-                    "driver".into(),
-                    JsonValue::String("multiplexed-reactor".into()),
-                ),
-            ]),
-        ),
-        ("baseline".to_string(), BASELINE.to_json()),
-    ];
+    let mut doc = vec![(
+        "config".to_string(),
+        JsonValue::Object(vec![
+            (
+                "connections".into(),
+                JsonValue::Number(cfg.connections as f64),
+            ),
+            ("shards".into(), JsonValue::Number(cfg.shards as f64)),
+            ("secs".into(), JsonValue::Number(cfg.secs)),
+            ("batch".into(), JsonValue::Number(cfg.batch as f64)),
+            ("read_pct".into(), JsonValue::Number(cfg.read_pct as f64)),
+            ("keyspace".into(), JsonValue::Number(cfg.keyspace as f64)),
+            ("fault_rate".into(), JsonValue::Number(cfg.fault_rate)),
+            ("seed".into(), JsonValue::Number(cfg.seed as f64)),
+            ("loops".into(), JsonValue::Number(cfg.loops as f64)),
+            ("combining".into(), JsonValue::Bool(cfg.combining)),
+            ("sweep".into(), JsonValue::Bool(cfg.sweep)),
+            (
+                "transport".into(),
+                JsonValue::String("tcp-localhost".into()),
+            ),
+            (
+                "driver".into(),
+                JsonValue::String("multiplexed-reactor".into()),
+            ),
+        ]),
+    )];
     if cfg.sweep {
         doc.push((
             "sweep".to_string(),

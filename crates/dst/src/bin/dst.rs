@@ -12,11 +12,6 @@
 //! `minimize` records a failing run, shrinks its fault script to a
 //! 1-minimal set with ddmin, and writes a golden-trace file. `replay`
 //! re-executes a golden file and checks the violation still reproduces.
-//!
-//! `--threads N` is accepted everywhere and deliberately ignored: the
-//! simulation is single-threaded by construction, and the flag exists
-//! so harnesses can prove the trace hash is identical whatever value
-//! they pass.
 
 use ff_dst::net::ScriptMode;
 use ff_dst::scenario::{arm_ok, arms, run_scenario, CORPUS};
@@ -27,10 +22,10 @@ use ff_store::Backend;
 fn usage() -> ! {
     eprintln!(
         "usage: dst <command> [options]\n\
-         \x20 run      --scenario S --arm A [--seed N] [--threads N] [--trace]\n\
-         \x20 corpus   [--seed N] [--threads N]\n\
+         \x20 run      --scenario S --arm A [--seed N] [--trace]\n\
+         \x20 corpus   [--seed N]\n\
          \x20 minimize --scenario S --arm A [--seed N] --out PATH\n\
-         \x20 replay   --golden PATH [--threads N]\n\
+         \x20 replay   --golden PATH\n\
          scenarios: partition-ramp kill-checkpoint restart-drain kill-recover"
     );
     std::process::exit(2);
@@ -76,10 +71,6 @@ fn parse(args: &[String]) -> Opts {
             "--out" => opts.out = Some(value("--out")),
             "--golden" => opts.golden = Some(value("--golden")),
             "--trace" => opts.show_trace = true,
-            // Accepted and ignored: determinism must not depend on it.
-            "--threads" => {
-                value("--threads");
-            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument: {other}");

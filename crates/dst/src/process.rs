@@ -5,8 +5,10 @@
 //!
 //! * [`ServerProc`] — the network face of the real [`Store`]: one
 //!   socket-free [`Session`] (the *same* state machine the production
-//!   reactor drives) per simulated connection, staged into one merged
-//!   run and executed through a real [`StoreClient`]. Killing it models
+//!   reactor drives) per simulated connection, served by ff-net's own
+//!   [`serve`] pass — one merged run executed through a real
+//!   [`StoreClient`], STATS answered from the same [`ServeCounters`]
+//!   production reports. Killing it models
 //!   a server crash: sessions and buffered responses vanish, the store
 //!   itself survives (its logs are the durable shared object, like
 //!   shared memory survives a thread crash in the paper's model).
@@ -24,12 +26,11 @@
 //! which keeps every process a pure state machine over (time, input).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use ff_net::session::Session;
-use ff_net::wire::{
-    decode_response, encode_request, Decoded, ErrorCode, Request, Response, StatsReply,
-};
-use ff_store::{Kv, KvOp, StoreClient, StoreError};
+use ff_net::session::{serve, ServeCounters, Session};
+use ff_net::wire::{decode_response, encode_request, Decoded, ErrorCode, Request, Response};
+use ff_store::{Kv, KvOp, Store, StoreClient, StoreError};
 
 use crate::net::{ConnId, Delivery, Payload, SimNet};
 use crate::rng::SimRng;
@@ -102,7 +103,6 @@ impl Proc {
     pub fn crashed(&mut self) {
         if let Proc::DurableServer(p) = self {
             p.server = None;
-            p.store = None;
         }
     }
 }
@@ -115,14 +115,27 @@ pub struct ServerProc {
     pub id: ProcId,
     /// Executes every merged run (combining client: self-combines).
     pub client: StoreClient,
+    /// The store this server fronts; STATS reads its counters.
+    pub store: Arc<Store>,
     /// One protocol state machine per live connection — the exact
     /// `Session` the production reactor drives over TCP.
     pub sessions: BTreeMap<u32, Session>,
-    /// Shard count, echoed in any STATS answer.
-    pub shards: u32,
+    /// This incarnation's serve passes, as a STATS frame reports them.
+    pub counters: ServeCounters,
 }
 
 impl ServerProc {
+    /// A fresh incarnation serving `store` through its own client.
+    pub fn new(id: ProcId, store: Arc<Store>) -> Self {
+        ServerProc {
+            id,
+            client: store.client(),
+            store,
+            sessions: BTreeMap::new(),
+            counters: ServeCounters::default(),
+        }
+    }
+
     /// Bytes or a close arrived on `conn`.
     pub fn on_deliver(&mut self, now: u64, conn: ConnId, payload: Payload, outbox: &mut Outbox) {
         match payload {
@@ -136,8 +149,8 @@ impl ServerProc {
         }
     }
 
-    /// One serve pass: stage every session into a merged run, execute
-    /// it on the real store, resolve, and ship each session's output.
+    /// One [`serve`] pass over every session, then ship each session's
+    /// output.
     #[allow(clippy::too_many_arguments)]
     pub fn wake(
         &mut self,
@@ -148,32 +161,24 @@ impl ServerProc {
         flags: &mut RunFlags,
         outbox: &mut Outbox,
     ) {
-        let mut run: Vec<KvOp> = Vec::new();
-        for session in self.sessions.values_mut() {
-            session.stage(&mut run);
-        }
-        let outcome = if run.is_empty() {
-            None
-        } else {
-            let result = self.client.batch(&run);
-            if let Err(e) = &result {
-                if matches!(e, StoreError::Divergence { .. }) {
-                    flags.server_divergence += 1;
-                }
-                trace.log(now, format!("server run-error {e}"));
+        let active = self.sessions.len() as u32;
+        let client = &mut self.client;
+        let outcome = serve(
+            self.sessions.values_mut(),
+            &mut Vec::new(),
+            &self.counters,
+            &self.store,
+            active,
+            |ops| client.batch(ops),
+        );
+        if let Some(Err(e)) = &outcome {
+            if matches!(e, StoreError::Divergence { .. }) {
+                flags.server_divergence += 1;
             }
-            Some(result)
-        };
-        let stats = StatsReply {
-            shards: self.shards,
-            diverged: flags.server_divergence > 0,
-            ..Default::default()
-        };
+            trace.log(now, format!("server run-error {e}"));
+        }
         let mut closed = Vec::new();
         for (&cid, session) in self.sessions.iter_mut() {
-            if session.pending_slots() > 0 {
-                session.resolve(outcome.as_ref(), &stats);
-            }
             let out = session.take_output();
             if !out.is_empty() {
                 let sends = net.send(now, ConnId(cid), self.id, out, topo, trace);
@@ -199,17 +204,16 @@ impl ServerProc {
 
 /// A server that owns its own durable [`Store`] recovered from a
 /// machine's [`SimDisk`](crate::disk::SimDisk). The protocol face is a
-/// plain [`ServerProc`] (same sessions, same merged-run execution); the
+/// plain [`ServerProc`] (same sessions, same serve pass); the
 /// difference is ownership — the store dies with the process, and the
 /// next incarnation rebuilds it from the disk via
-/// [`Store::recover_with_media`](ff_store::Store::recover_with_media).
+/// [`Store::recover_with_media`].
 pub struct DurableServerProc {
     /// Own process id.
     pub id: ProcId,
-    /// The protocol face; `None` after a crash (the corpse never acts).
+    /// The protocol face and the recovered store it alone holds; `None`
+    /// after a crash (the corpse never acts).
     pub server: Option<ServerProc>,
-    /// The recovered store this incarnation owns; `None` after a crash.
-    pub store: Option<std::sync::Arc<ff_store::Store>>,
     /// What recovery found when this incarnation booted (zeros on the
     /// first boot over an empty disk).
     pub recovery: ff_store::RecoveryReport,
@@ -518,5 +522,72 @@ impl ClientProc {
             // A BATCH is never answered with these.
             Response::Value(_) | Response::Stats(_) | Response::Pong => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::net::{NetConfig, ScriptMode};
+    use ff_store::StoreConfig;
+
+    #[test]
+    fn stats_answer_carries_the_serve_counters() {
+        let mut topo = Topology::new();
+        let machine = topo.machine("m");
+        let peer = topo.process(machine, "client");
+        let pid = topo.process(machine, "server");
+        let mut root = SimRng::new(7);
+        let mut net = SimNet::new(
+            NetConfig::default(),
+            root.fork(1),
+            root.fork(2),
+            ScriptMode::Record,
+        );
+        let conn = net.connect(peer, pid);
+        let store = Arc::new(Store::new(
+            StoreConfig::builder().shards(3).build().unwrap(),
+        ));
+        let mut server = ServerProc::new(pid, store);
+
+        let batch = vec![KvOp::Put(1, 10), KvOp::Get(1), KvOp::Del(2)];
+        let mut wire = Vec::new();
+        encode_request(&mut wire, 1, &Request::Batch(batch.clone()));
+        encode_request(&mut wire, 2, &Request::Stats);
+        let mut outbox = Outbox::default();
+        server.on_deliver(0, conn, Payload::Bytes(wire), &mut outbox);
+        let (mut trace, mut flags) = (Trace::new(), RunFlags::default());
+        server.wake(
+            HANDLE_DELAY,
+            &mut net,
+            &topo,
+            &mut trace,
+            &mut flags,
+            &mut outbox,
+        );
+
+        let mut bytes = Vec::new();
+        for d in &outbox.deliveries {
+            if let Payload::Bytes(b) = &d.payload {
+                bytes.extend_from_slice(b);
+            }
+        }
+        let mut answers = Vec::new();
+        let mut at = 0;
+        while let Ok(Decoded::Frame { frame, consumed }) = decode_response(&bytes[at..]) {
+            answers.push(frame);
+            at += consumed;
+        }
+        assert_eq!(at, bytes.len(), "undecodable response bytes");
+        assert_eq!(answers.len(), 2);
+        assert!(matches!(answers[0].resp, Response::Batch(ref v) if v.len() == batch.len()));
+        let Response::Stats(stats) = answers[1].resp else {
+            panic!("STATS answered with {:?}", answers[1].resp);
+        };
+        assert!(stats.runs_executed >= 1, "{stats:?}");
+        assert_eq!(stats.run_ops, batch.len() as u64, "{stats:?}");
+        assert!(stats.frames_staged >= 2, "{stats:?}");
+        assert_eq!(stats.shards, 3);
+        assert_eq!(stats.active_connections, 1);
     }
 }

@@ -208,7 +208,7 @@ pub struct Sim {
     /// The decision log.
     pub trace: Trace,
     /// The real store under test, shared by every server.
-    pub store: Store,
+    pub store: Arc<Store>,
     /// Cross-cutting observations.
     pub flags: RunFlags,
     /// Per-machine durable bytes — they survive kills by construction
@@ -251,7 +251,7 @@ impl Sim {
             topo: Topology::new(),
             net: SimNet::new(net_cfg, fault, jitter, mode),
             trace: Trace::new(),
-            store,
+            store: Arc::new(store),
             flags: RunFlags::default(),
             disks: BTreeMap::new(),
             procs: Vec::new(),
@@ -327,18 +327,10 @@ impl Sim {
         let (machine, proc_ctor): (MachineId, Box<dyn FnOnce(ProcId, SimRng) -> Proc>) = match spec
         {
             ProcSpec::Server { machine, role: _ } => {
-                let client = self.store.client();
-                let shards = self.store.shards() as u32;
+                let store = Arc::clone(&self.store);
                 (
                     machine,
-                    Box::new(move |id, _| {
-                        Proc::Server(ServerProc {
-                            id,
-                            client,
-                            sessions: BTreeMap::new(),
-                            shards,
-                        })
-                    }),
+                    Box::new(move |id, _| Proc::Server(ServerProc::new(id, store))),
                 )
             }
             ProcSpec::Client {
@@ -388,20 +380,11 @@ impl Sim {
                         recovery.torn_tails()
                     ),
                 );
-                let store = Arc::new(store);
-                let client = store.client();
-                let shards = store.shards() as u32;
                 let pid = self.topo.process(machine, label.clone());
                 debug_assert_eq!(pid.0 as usize, self.procs.len());
                 self.procs.push(Some(Proc::DurableServer(DurableServerProc {
                     id: pid,
-                    server: Some(ServerProc {
-                        id: pid,
-                        client,
-                        sessions: BTreeMap::new(),
-                        shards,
-                    }),
-                    store: Some(store),
+                    server: Some(ServerProc::new(pid, Arc::new(store))),
                     recovery,
                 })));
                 self.roles.insert(role, pid);

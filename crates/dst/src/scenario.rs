@@ -105,7 +105,7 @@ fn finish(sim: &Sim, scenario: &str, arm: &str, seed: u64, floors: &[Floor]) -> 
     let mut wal_failed = false;
     for p in sim.all_procs() {
         if let Proc::DurableServer(d) = p {
-            if let Some(store) = &d.store {
+            if let Some(store) = d.server.as_ref().map(|s| &s.store) {
                 verify_reports.push(store.verify(&mut []));
                 wal_failed |= store.durability_error().is_some();
                 recovered = (

@@ -1,8 +1,7 @@
 //! The simulator's headline guarantees, enforced:
 //!
 //! * same `(scenario, arm, seed)` → bit-identical trace, twice in one
-//!   process (and across `--threads` trivially: the sim never spawns
-//!   threads);
+//!   process (the sim never spawns threads);
 //! * a recorded run replayed under its own full fault script is
 //!   bit-identical to the recording run — the record/replay seam loses
 //!   nothing;

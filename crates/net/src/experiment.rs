@@ -228,12 +228,11 @@ pub struct E17ReactorSoak;
 /// A server shape that forces every reactor mechanism at once: two
 /// event loops (two replicas contending on every shard), more
 /// connections than loops (every merged run crosses connections), and
-/// the default backpressure bounds.
+/// the reactor's fixed backpressure bounds.
 fn reactor_config() -> ServerConfig {
     ServerConfig {
         max_connections: 32,
         loops: 2,
-        ..ServerConfig::default()
     }
 }
 

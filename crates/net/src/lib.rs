@@ -15,9 +15,8 @@
 //! | [`wire`] | frame layout, encode/decode (owned and zero-copy), streaming [`FrameBuffer`] |
 //! | [`server`] | [`NetServer`]: the readiness-driven reactor — N event loops, one store client per loop, cross-connection batching, backpressure, graceful drain |
 //! | `poll` (private) | the std-only readiness abstraction the loops run on |
-//! | `buffer` (private) | per-loop pools for connection read/write buffers |
 //! | `reactor` (private) | the event-loop state machine itself |
-//! | [`session`] | [`Session`]: one connection's socket-free protocol state machine — the transport seam `ff-dst` drives over a simulated network |
+//! | [`session`] | [`Session`]: one connection's socket-free protocol state machine, and [`serve`](session::serve), the stage → execute → resolve pass with its [`ServeCounters`](session::ServeCounters) — the transport seam `ff-dst` drives over a simulated network |
 //! | [`client`] | [`NetClient`]: pipelining TCP client implementing [`Kv`](ff_store::Kv) |
 //! | [`experiment`] | [`E16NetSoak`] and [`E17ReactorSoak`]: the fault-ramp soak over TCP, thread-per-request shape and reactor shape |
 //!
@@ -28,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod buffer;
 pub mod client;
 pub mod experiment;
 mod poll;

@@ -6,42 +6,39 @@
 //! # One tick
 //!
 //! 1. **Admit** — drain this loop's inbox of freshly accepted,
-//!    already-nonblocking sockets; give each a [`Session`] around
-//!    pooled buffers.
+//!    already-nonblocking sockets; give each a fresh [`Session`].
 //! 2. **Poll** — probe read readiness for every open, unpaused
 //!    connection; connections with unflushed responses bound the wait.
 //! 3. **Read** — pull up to 16 KiB per readable connection straight
 //!    into its session's frame buffer (no intermediate chunk copy).
-//! 4. **Stage** — each session decodes its complete frames **in
-//!    place** with the zero-copy
-//!    [`peek_frame`](crate::wire::FrameBuffer::peek_frame) path. Valid
-//!    GET/PUT/DEL/BATCH operations from *every* connection merge into
-//!    one run; STATS/PING and per-frame validation errors become
-//!    immediate response slots. A decode error stages one id-0
-//!    `Malformed` frame and marks the session closing —
-//!    length-prefixed framing cannot resync.
-//! 5. **Execute** — the merged run goes through one
-//!    [`Kv::batch`](ff_store::Kv::batch) call: one log pass per
+//! 4. **Serve** — one [`serve`] pass over every live, unpaused
+//!    session. Each decodes its complete frames **in place** with the
+//!    zero-copy [`peek_frame`](crate::wire::FrameBuffer::peek_frame)
+//!    path; valid GET/PUT/DEL/BATCH operations from *every* connection
+//!    merge into one run; STATS/PING and per-frame validation errors
+//!    become immediate response slots. The merged run goes through one
+//!    [`Kv::batch`](ff_store::Kv::batch) call — one log pass per
 //!    touched shard for the whole tick, across connections, on the
-//!    loop's one [`StoreClient`] — minted on the loop's first run.
-//! 6. **Resolve** — each session encodes its slots' responses into its
-//!    output buffer, in per-connection request order. A run error
-//!    (divergence poisons the shard set; nothing partial is usable)
-//!    answers every run slot with the same typed error.
-//! 7. **Flush** — attempted-write model: write until `WouldBlock`,
-//!    killing peers stalled past the write timeout.
-//! 8. **Reap** — dead connections return their session's buffers to
-//!    the pool and drop the active count.
+//!    loop's one [`StoreClient`], minted on the loop's first run. Each
+//!    session then encodes its responses in per-connection request
+//!    order; a run error (divergence poisons the shard set; nothing
+//!    partial is usable) answers every run slot with the same typed
+//!    error. A decode error stages one id-0 `Malformed` frame and marks
+//!    the session closing — length-prefixed framing cannot resync.
+//! 5. **Flush** — attempted-write model: write until `WouldBlock`,
+//!    killing peers stalled past [`WRITE_TIMEOUT`].
+//! 6. **Reap** — dead connections drop the active count.
 //!
-//! On shutdown a loop runs one final stage/execute/flush pass over
-//! everything already buffered — bounded by the write timeout — then
-//! retires its client into the graveyard.
+//! On shutdown a loop runs one final serve/flush pass over everything
+//! already buffered — bounded by [`WRITE_TIMEOUT`] — then retires its
+//! client into the graveyard.
 //!
 //! Everything between the socket reads and the socket writes — frame
-//! decoding, staging, validation, response encoding — lives in
-//! [`Session`](crate::session::Session), which `ff-dst` drives over a
-//! simulated network with no kernel socket anywhere; the reactor here
-//! is only the IO shell around the shared state machine.
+//! decoding, staging, validation, execution, response encoding, the
+//! STATS counters — lives in [`session`](crate::session), whose
+//! [`serve`] pass `ff-dst` drives over a simulated network with no
+//! kernel socket anywhere; the reactor here is only the IO shell
+//! around it.
 
 use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
@@ -52,10 +49,9 @@ use std::time::{Duration, Instant};
 use ff_store::{Kv, KvOp, StoreClient, StoreError};
 use parking_lot::Mutex;
 
-use crate::buffer::BufferPool;
 use crate::poll::{Interest, PollSource, Readiness, ScanPoller};
-use crate::server::{stats, Shared};
-use crate::session::Session;
+use crate::server::Shared;
+use crate::session::{serve, Session};
 use crate::wire::ErrorCode;
 
 /// Most bytes read per connection per tick — round-robin fairness, not
@@ -69,6 +65,9 @@ const PAUSE_WBUF: usize = 256 * 1024;
 const POLL_TICK: Duration = Duration::from_millis(5);
 /// Sleep when the loop owns no connections at all.
 const IDLE_EMPTY: Duration = Duration::from_millis(2);
+/// Per-connection write stall bound — the backpressure limit on a peer
+/// that stops draining responses, and the drain deadline at shutdown.
+pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// The slice of server state one event loop and the acceptor share.
 #[derive(Default)]
@@ -112,7 +111,6 @@ struct Scratch {
 /// The body of one event-loop worker thread.
 pub(crate) fn event_loop(shared: Arc<Shared>, index: usize) {
     let mut conns: Vec<Conn> = Vec::new();
-    let mut pool = BufferPool::new();
     let mut poller = ScanPoller::new();
     let mut client: Option<StoreClient> = None;
     let mut scratch = Scratch {
@@ -121,7 +119,7 @@ pub(crate) fn event_loop(shared: Arc<Shared>, index: usize) {
         polled: Vec::new(),
     };
     loop {
-        admit(&shared, index, &mut conns, &mut pool);
+        admit(&shared, index, &mut conns);
         if shared.shutdown.load(Ordering::SeqCst) {
             drain_all(&shared, conns, &mut client, &mut scratch);
             if let Some(client) = client {
@@ -129,19 +127,12 @@ pub(crate) fn event_loop(shared: Arc<Shared>, index: usize) {
             }
             return;
         }
-        tick(
-            &shared,
-            &mut conns,
-            &mut pool,
-            &mut poller,
-            &mut client,
-            &mut scratch,
-        );
+        tick(&shared, &mut conns, &mut poller, &mut client, &mut scratch);
     }
 }
 
 /// Move freshly pinned sockets from the inbox into the live set.
-fn admit(shared: &Shared, index: usize, conns: &mut Vec<Conn>, pool: &mut BufferPool) {
+fn admit(shared: &Shared, index: usize, conns: &mut Vec<Conn>) {
     let mut inbox = shared.loops[index].inbox.lock();
     if inbox.is_empty() {
         return;
@@ -151,7 +142,7 @@ fn admit(shared: &Shared, index: usize, conns: &mut Vec<Conn>, pool: &mut Buffer
     for stream in streams {
         conns.push(Conn {
             stream,
-            session: Session::from_parts(pool.take_read(), pool.take_write()),
+            session: Session::new(),
             wpos: 0,
             eof: false,
             dead: false,
@@ -163,7 +154,6 @@ fn admit(shared: &Shared, index: usize, conns: &mut Vec<Conn>, pool: &mut Buffer
 fn tick(
     shared: &Shared,
     conns: &mut Vec<Conn>,
-    pool: &mut BufferPool,
     poller: &mut ScanPoller,
     client: &mut Option<StoreClient>,
     scratch: &mut Scratch,
@@ -196,8 +186,7 @@ fn tick(
             scratch
                 .readiness
                 .resize(sources.len(), Readiness::default());
-            let timeout = POLL_TICK.min(shared.config.read_timeout.max(Duration::from_millis(1)));
-            poller.poll(&sources, &mut scratch.readiness, timeout);
+            poller.poll(&sources, &mut scratch.readiness, POLL_TICK);
         }
     }
 
@@ -218,22 +207,20 @@ fn tick(
     serve_buffered(shared, conns, client, scratch, false);
 
     for c in conns.iter_mut() {
-        flush(c, shared);
+        flush(c);
     }
 
-    let mut i = 0;
-    while i < conns.len() {
-        if conns[i].dead {
-            reap(conns.swap_remove(i), shared, pool);
-        } else {
-            i += 1;
-        }
+    let before = conns.len();
+    conns.retain(|c| !c.dead);
+    let reaped = (before - conns.len()) as u32;
+    if reaped > 0 {
+        shared.active.fetch_sub(reaped, Ordering::SeqCst);
     }
 }
 
-/// Stage every buffered complete frame, execute the merged run, and
-/// have each session encode its responses. `ignore_pause` lets the
-/// shutdown drain serve backpressured connections too.
+/// One [`serve`] pass over every live session. Paused connections wait
+/// for their peer unless `ignore_pause` (the shutdown drain serves
+/// backpressured connections too).
 fn serve_buffered(
     shared: &Shared,
     conns: &mut [Conn],
@@ -241,54 +228,18 @@ fn serve_buffered(
     scratch: &mut Scratch,
     ignore_pause: bool,
 ) {
-    scratch.run_ops.clear();
-    let mut immediate = 0u64;
-    let mut staged = 0u64;
-    for c in conns.iter_mut() {
-        // Closing sessions stage nothing themselves (the session
-        // early-returns); paused connections wait for their peer.
-        if c.dead || (!ignore_pause && c.paused()) {
-            continue;
-        }
-        let summary = c.session.stage(&mut scratch.run_ops);
-        immediate += summary.immediate;
-        staged += summary.staged;
-    }
-    if immediate > 0 {
-        shared.ops_served.fetch_add(immediate, Ordering::Relaxed);
-    }
-    let outcome = if scratch.run_ops.is_empty() {
-        None
-    } else {
-        let result = execute_run(shared, client, &scratch.run_ops);
-        if result.is_ok() {
-            shared
-                .ops_served
-                .fetch_add(scratch.run_ops.len() as u64, Ordering::Relaxed);
-        }
-        // Coalescing observability: how many frames fed how many merged
-        // runs of what size (STATS surfaces the ratios).
-        shared.runs_executed.fetch_add(1, Ordering::Relaxed);
-        shared
-            .run_ops
-            .fetch_add(scratch.run_ops.len() as u64, Ordering::Relaxed);
-        shared
-            .max_run_ops
-            .fetch_max(scratch.run_ops.len() as u32, Ordering::Relaxed);
-        Some(result)
-    };
-    if staged > 0 {
-        shared.frames_staged.fetch_add(staged, Ordering::Relaxed);
-    }
-    // Resolve after the run so STATS snapshots post-run counters. Every
-    // session with staged slots resolves — including closing ones,
-    // whose malformed-error answer still has to flush.
-    let snapshot = stats(shared);
-    for c in conns.iter_mut() {
-        if c.session.pending_slots() > 0 {
-            c.session.resolve(outcome.as_ref(), &snapshot);
-        }
-    }
+    let live = conns
+        .iter_mut()
+        .filter(|c| !c.dead && (ignore_pause || !c.paused()))
+        .map(|c| &mut c.session);
+    serve(
+        live,
+        &mut scratch.run_ops,
+        &shared.counters,
+        &shared.store,
+        shared.active.load(Ordering::SeqCst),
+        |ops| execute_run(shared, client, ops),
+    );
 }
 
 /// Run the merged operations on the loop's client, minting it on the
@@ -316,8 +267,8 @@ fn execute_run(
 }
 
 /// Attempted-write model: push buffered response bytes until done or
-/// `WouldBlock`; a peer blocked past the write timeout is cut off.
-fn flush(c: &mut Conn, shared: &Shared) {
+/// `WouldBlock`; a peer blocked past [`WRITE_TIMEOUT`] is cut off.
+fn flush(c: &mut Conn) {
     if c.dead {
         return;
     }
@@ -334,7 +285,7 @@ fn flush(c: &mut Conn, shared: &Shared) {
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 let deadline = *c
                     .write_deadline
-                    .get_or_insert_with(|| Instant::now() + shared.config.write_timeout);
+                    .get_or_insert_with(|| Instant::now() + WRITE_TIMEOUT);
                 if Instant::now() >= deadline {
                     // The peer stopped draining; its responses are
                     // undeliverable backpressure.
@@ -361,15 +312,6 @@ fn flush(c: &mut Conn, shared: &Shared) {
     }
 }
 
-/// Retire a finished connection: buffers to the pool, active slot
-/// released.
-fn reap(c: Conn, shared: &Shared, pool: &mut BufferPool) {
-    let (rbuf, wbuf) = c.session.into_parts();
-    pool.put_read(rbuf);
-    pool.put_write(wbuf);
-    shared.active.fetch_sub(1, Ordering::SeqCst);
-}
-
 /// The shutdown drain: one final serve pass over everything already
 /// buffered (backpressured connections included), a bounded flush, and
 /// then every connection closes. In-flight requests drain; nothing new
@@ -381,11 +323,11 @@ fn drain_all(
     scratch: &mut Scratch,
 ) {
     serve_buffered(shared, &mut conns, client, scratch, true);
-    let deadline = Instant::now() + shared.config.write_timeout;
+    let deadline = Instant::now() + WRITE_TIMEOUT;
     loop {
         let mut pending = false;
         for c in conns.iter_mut() {
-            flush(c, shared);
+            flush(c);
             if !c.dead && c.pending_write() > 0 {
                 pending = true;
             }

@@ -42,8 +42,8 @@
 //!   new connections get one `Overloaded` error frame and are closed.
 //! * **Write pause** — a connection whose response buffer exceeds
 //!   256 KiB stops being read (and served) until the peer drains it; a
-//!   peer that stays blocked past [`ServerConfig::write_timeout`] is
-//!   disconnected. One slow reader cannot pin server memory.
+//!   peer that stays blocked for 2 s is disconnected. One slow reader
+//!   cannot pin server memory.
 //! * **Bounded frames** — the decoder rejects frames over
 //!   [`MAX_FRAME_LEN`](crate::wire::MAX_FRAME_LEN) before buffering.
 //!
@@ -53,7 +53,7 @@
 //! [`NetServer::begin_shutdown`]) flips a flag; each loop notices
 //! within one poll tick, stops reading, serves the complete frames it
 //! had already buffered (in-flight requests drain rather than vanish),
-//! flushes within the write timeout, and retires its client into the
+//! flushes within the same 2 s bound, and retires its client into the
 //! graveyard. The returned [`ServerReport`] hands those
 //! clients back so a harness can run [`Store::verify`] over *exactly*
 //! the replicas that served traffic. Nothing on the shutdown path
@@ -62,7 +62,7 @@
 
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -70,22 +70,15 @@ use std::time::Duration;
 use ff_store::{Store, StoreClient};
 use parking_lot::Mutex;
 
-use crate::reactor::{self, LoopShared};
-use crate::wire::{encode_response, ErrorCode, Response, StatsReply};
+use crate::reactor::{self, LoopShared, WRITE_TIMEOUT};
+use crate::session::ServeCounters;
+use crate::wire::{encode_response, ErrorCode, Response};
 
 /// Tuning for a [`NetServer`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Connections beyond this are refused with `Overloaded`.
     pub max_connections: usize,
-    /// Upper bound on how long a quiet loop sleeps between readiness
-    /// scans; bounds shutdown-notice latency. (The name predates the
-    /// reactor: sockets are nonblocking now, nothing blocks in `read`.)
-    pub read_timeout: Duration,
-    /// Per-connection write stall bound — the backpressure limit on a
-    /// peer that stops draining responses, and the drain deadline at
-    /// shutdown.
-    pub write_timeout: Duration,
     /// Event loops (worker threads). `0` means auto: one per available
     /// core, clamped to at most 8.
     pub loops: usize,
@@ -95,8 +88,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_connections: 64,
-            read_timeout: Duration::from_millis(50),
-            write_timeout: Duration::from_secs(2),
             loops: 0,
         }
     }
@@ -144,15 +135,8 @@ pub(crate) struct Shared {
     pub(crate) config: ServerConfig,
     pub(crate) shutdown: AtomicBool,
     pub(crate) active: AtomicU32,
-    pub(crate) ops_served: AtomicU64,
-    /// Merged runs executed across all loops (serve passes with ops).
-    pub(crate) runs_executed: AtomicU64,
-    /// Operations that went through merged runs.
-    pub(crate) run_ops: AtomicU64,
-    /// Largest single merged run any loop executed.
-    pub(crate) max_run_ops: AtomicU32,
-    /// Request frames staged for a response across all serve passes.
-    pub(crate) frames_staged: AtomicU64,
+    /// Every loop's serve passes, counted in one place.
+    pub(crate) counters: ServeCounters,
     /// Clients of drained event loops, kept for post-shutdown
     /// verification.
     pub(crate) retired: Mutex<Vec<StoreClient>>,
@@ -199,11 +183,7 @@ impl NetServer {
             config,
             shutdown: AtomicBool::new(false),
             active: AtomicU32::new(0),
-            ops_served: AtomicU64::new(0),
-            runs_executed: AtomicU64::new(0),
-            run_ops: AtomicU64::new(0),
-            max_run_ops: AtomicU32::new(0),
-            frames_staged: AtomicU64::new(0),
+            counters: ServeCounters::default(),
             retired: Mutex::new(Vec::new()),
             loops: (0..nloops).map(|_| LoopShared::default()).collect(),
         });
@@ -273,7 +253,7 @@ impl NetServer {
         let clients = std::mem::take(&mut *self.shared.retired.lock());
         ServerReport {
             clients,
-            ops_served: self.shared.ops_served.load(Ordering::SeqCst),
+            ops_served: self.shared.counters.ops_served.load(Ordering::SeqCst),
             shutdown_errors,
         }
     }
@@ -315,21 +295,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         match listener.accept() {
             Ok((stream, peer)) => {
                 if shared.shutdown.load(Ordering::SeqCst) {
-                    refuse(
-                        stream,
-                        &shared,
-                        ErrorCode::ShuttingDown,
-                        "server shutting down",
-                    );
+                    refuse(stream, ErrorCode::ShuttingDown, "server shutting down");
                     return;
                 }
                 if shared.active.load(Ordering::SeqCst) as usize >= shared.config.max_connections {
-                    refuse(
-                        stream,
-                        &shared,
-                        ErrorCode::Overloaded,
-                        "connection limit reached",
-                    );
+                    refuse(stream, ErrorCode::Overloaded, "connection limit reached");
                     continue;
                 }
                 // A blocking socket in a readiness loop would wedge
@@ -340,7 +310,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                     eprintln!(
                         "ff-net: refusing connection from {peer}: set_nonblocking failed: {e}"
                     );
-                    refuse(stream, &shared, ErrorCode::Internal, "socket setup failed");
+                    refuse(stream, ErrorCode::Internal, "socket setup failed");
                     continue;
                 }
                 // Nagle is a latency tune, not a correctness knob —
@@ -364,8 +334,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 
 /// Tell the refused peer why before closing, on the (still blocking)
 /// just-accepted socket.
-fn refuse(mut stream: TcpStream, shared: &Shared, code: ErrorCode, message: &str) {
-    if let Err(e) = stream.set_write_timeout(Some(shared.config.write_timeout)) {
+fn refuse(mut stream: TcpStream, code: ErrorCode, message: &str) {
+    if let Err(e) = stream.set_write_timeout(Some(WRITE_TIMEOUT)) {
         // Without a bound, a hostile peer could park the acceptor in
         // this write forever. Close frameless rather than risk it.
         eprintln!(
@@ -386,26 +356,4 @@ fn refuse(mut stream: TcpStream, shared: &Shared, code: ErrorCode, message: &str
     // Best-effort by design: the peer may already be gone, and the
     // close itself carries the refusal.
     let _ = stream.write_all(&out);
-}
-
-pub(crate) fn stats(shared: &Shared) -> StatsReply {
-    let store = &shared.store;
-    let combine = store.combine_snapshot();
-    let durability = store.durability_snapshot();
-    StatsReply {
-        shards: store.shards() as u32,
-        active_connections: shared.active.load(Ordering::SeqCst),
-        diverged: (0..store.shards()).any(|s| store.shard_log(s).divergence_detected()),
-        ops_served: shared.ops_served.load(Ordering::Relaxed),
-        runs_executed: shared.runs_executed.load(Ordering::Relaxed),
-        run_ops: shared.run_ops.load(Ordering::Relaxed),
-        max_run_ops: shared.max_run_ops.load(Ordering::Relaxed),
-        frames_staged: shared.frames_staged.load(Ordering::Relaxed),
-        combine_passes: combine.as_ref().map_or(0, |c| c.passes),
-        combine_ops: combine.as_ref().map_or(0, |c| c.combined_ops),
-        wal_records: durability.as_ref().map_or(0, |d| d.records_logged),
-        wal_fsyncs: durability.as_ref().map_or(0, |d| d.fsyncs),
-        recovered_records: durability.as_ref().map_or(0, |d| d.records_replayed),
-        recovered_checkpoints: durability.as_ref().map_or(0, |d| d.checkpoints_loaded),
-    }
 }

@@ -1,5 +1,5 @@
 //! The transport seam: one connection's protocol state machine with no
-//! socket in sight.
+//! socket in sight, and the multi-session serve pass both drivers run.
 //!
 //! A [`Session`] owns the receive-side [`FrameBuffer`] and the
 //! send-side byte buffer of one connection and runs everything between
@@ -16,21 +16,26 @@
 //!   or truncated as the fault schedule dictates — with no kernel
 //!   socket anywhere in the process.
 //!
-//! The request lifecycle per serve pass is `stage → execute → resolve`:
+//! The request lifecycle per serve pass is `stage → execute → resolve`,
+//! and [`serve`] runs it over every session a driver hands it:
 //! [`Session::stage`] decodes every buffered complete frame, pushing
-//! validated operations into the caller's shared run (offsets recorded
-//! per frame) and deciding everything that needs no store trip; the
-//! caller executes the merged run through the real store; and
-//! [`Session::resolve`] encodes one response per staged frame, in
-//! arrival order, into the output buffer. A decode error stages one
-//! id-0 `Malformed` response and marks the session
+//! validated operations into the shared run (offsets recorded per
+//! frame) and deciding everything that needs no store trip; the
+//! driver's closure executes the merged run through the real store;
+//! and [`Session::resolve`] encodes one response per staged frame, in
+//! arrival order, into the output buffer. [`ServeCounters`] records
+//! every pass and fills STATS answers, so the reactor and the simulator
+//! report the same numbers from the same code. A decode error stages
+//! one id-0 `Malformed` response and marks the session
 //! [`closing`](Session::closing) — length-prefixed framing cannot
 //! resync, so the connection is done once that answer flushes.
+
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use crate::wire::{
     encode_response, Decoded, ErrorCode, FrameBuffer, RequestRef, Response, StatsReply,
 };
-use ff_store::{KvOp, StoreError};
+use ff_store::{KvOp, Store, StoreError};
 
 /// Where one staged frame's answer comes from.
 enum SlotKind {
@@ -38,7 +43,7 @@ enum SlotKind {
     Single { off: usize },
     /// `run[off..off+n]` — a BATCH frame merged into the run.
     Batch { off: usize, n: usize },
-    /// Server counters, snapshotted at resolve time.
+    /// Server counters, snapshotted after the run executed.
     Stats,
     /// PING.
     Pong,
@@ -60,6 +65,8 @@ pub struct StageSummary {
     pub immediate: u64,
     /// Response slots staged (every complete frame stages exactly one).
     pub staged: u64,
+    /// STATS frames among them, answered from [`ServeCounters`].
+    pub stats: u64,
 }
 
 /// One connection's socket-free protocol state machine. See the module
@@ -78,24 +85,14 @@ impl Default for Session {
 }
 
 impl Session {
-    /// A fresh session with empty buffers.
+    /// A fresh session with empty buffers (they allocate on first use).
     pub fn new() -> Self {
-        Session::from_parts(FrameBuffer::new(), Vec::new())
-    }
-
-    /// Build a session around pooled buffers (the reactor's path).
-    pub fn from_parts(rbuf: FrameBuffer, out: Vec<u8>) -> Self {
         Session {
-            rbuf,
-            out,
+            rbuf: FrameBuffer::new(),
+            out: Vec::new(),
             slots: Vec::new(),
             closing: false,
         }
-    }
-
-    /// Tear the session down, returning its buffers for pooling.
-    pub fn into_parts(self) -> (FrameBuffer, Vec<u8>) {
-        (self.rbuf, self.out)
     }
 
     /// Feed raw wire bytes (the simulator's path: whatever chunking the
@@ -202,6 +199,7 @@ impl Session {
                         },
                         RequestRef::Stats => {
                             summary.immediate += 1;
+                            summary.stats += 1;
                             self.slots.push(Slot {
                                 id,
                                 kind: SlotKind::Stats,
@@ -245,11 +243,12 @@ impl Session {
     /// (`Some`) iff this session contributed operations; a run error
     /// answers every run-backed slot with the same typed error
     /// (divergence poisons the shard set; nothing partial is usable).
-    /// `stats` answers any STATS frames.
+    /// `stats` answers any STATS frames — required (`Some`) iff one was
+    /// staged.
     pub fn resolve(
         &mut self,
         outcome: Option<&Result<Vec<Option<u32>>, StoreError>>,
-        stats: &StatsReply,
+        stats: Option<&StatsReply>,
     ) {
         for slot in self.slots.drain(..) {
             let resp = match slot.kind {
@@ -263,13 +262,114 @@ impl Session {
                     Some(Err(e)) => error_response(e),
                     None => unreachable!("run slots imply a nonempty run"),
                 },
-                SlotKind::Stats => Response::Stats(*stats),
+                SlotKind::Stats => {
+                    Response::Stats(*stats.expect("a staged STATS frame implies a reply"))
+                }
                 SlotKind::Pong => Response::Pong,
                 SlotKind::Ready(resp) => resp,
             };
             encode_response(&mut self.out, slot.id, &resp);
         }
     }
+}
+
+/// What every serve pass adds up — the server's share of a STATS
+/// answer. One per server, shared by its event loops.
+#[derive(Debug, Default)]
+pub struct ServeCounters {
+    /// Requests answered: immediate frames plus the operations of every
+    /// run that executed cleanly.
+    pub(crate) ops_served: AtomicU64,
+    /// Merged runs executed (serve passes with operations).
+    pub(crate) runs_executed: AtomicU64,
+    /// Operations that went through merged runs.
+    pub(crate) run_ops: AtomicU64,
+    /// Largest single merged run.
+    pub(crate) max_run_ops: AtomicU32,
+    /// Request frames staged for a response.
+    pub(crate) frames_staged: AtomicU64,
+}
+
+impl ServeCounters {
+    /// The STATS answer: these counters plus `store`'s own
+    /// (divergence, combining, durability), with `active` open
+    /// connections.
+    fn stats(&self, store: &Store, active: u32) -> StatsReply {
+        let combine = store.combine_snapshot();
+        let durability = store.durability_snapshot();
+        StatsReply {
+            shards: store.shards() as u32,
+            active_connections: active,
+            diverged: (0..store.shards()).any(|s| store.shard_log(s).divergence_detected()),
+            ops_served: self.ops_served.load(Ordering::Relaxed),
+            runs_executed: self.runs_executed.load(Ordering::Relaxed),
+            run_ops: self.run_ops.load(Ordering::Relaxed),
+            max_run_ops: self.max_run_ops.load(Ordering::Relaxed),
+            frames_staged: self.frames_staged.load(Ordering::Relaxed),
+            combine_passes: combine.as_ref().map_or(0, |c| c.passes),
+            combine_ops: combine.as_ref().map_or(0, |c| c.combined_ops),
+            wal_records: durability.as_ref().map_or(0, |d| d.records_logged),
+            wal_fsyncs: durability.as_ref().map_or(0, |d| d.fsyncs),
+            recovered_records: durability.as_ref().map_or(0, |d| d.records_replayed),
+            recovered_checkpoints: durability.as_ref().map_or(0, |d| d.checkpoints_loaded),
+        }
+    }
+}
+
+/// One serve pass over `sessions`: stage each into one merged run
+/// (`run` is the caller's scratch), execute the run once through
+/// `execute`, count the pass into `counters`, and resolve every session
+/// that staged a response. STATS frames see the post-run counters, with
+/// `active` open connections. Returns the run's outcome (`None` when no
+/// session staged an operation).
+pub fn serve<'a>(
+    sessions: impl IntoIterator<Item = &'a mut Session>,
+    run: &mut Vec<KvOp>,
+    counters: &ServeCounters,
+    store: &Store,
+    active: u32,
+    execute: impl FnOnce(&[KvOp]) -> Result<Vec<Option<u32>>, StoreError>,
+) -> Option<Result<Vec<Option<u32>>, StoreError>> {
+    run.clear();
+    let mut staged_sessions: Vec<&mut Session> = Vec::new();
+    let mut total = StageSummary::default();
+    for session in sessions {
+        let summary = session.stage(run);
+        total.immediate += summary.immediate;
+        total.staged += summary.staged;
+        total.stats += summary.stats;
+        // A session that just lost framing owes its malformed-error
+        // answer too.
+        if session.pending_slots() > 0 {
+            staged_sessions.push(session);
+        }
+    }
+    if total.immediate > 0 {
+        counters
+            .ops_served
+            .fetch_add(total.immediate, Ordering::Relaxed);
+    }
+    let outcome = (!run.is_empty()).then(|| {
+        let result = execute(run);
+        let n = run.len() as u64;
+        if result.is_ok() {
+            counters.ops_served.fetch_add(n, Ordering::Relaxed);
+        }
+        counters.runs_executed.fetch_add(1, Ordering::Relaxed);
+        counters.run_ops.fetch_add(n, Ordering::Relaxed);
+        counters.max_run_ops.fetch_max(n as u32, Ordering::Relaxed);
+        result
+    });
+    if total.staged > 0 {
+        counters
+            .frames_staged
+            .fetch_add(total.staged, Ordering::Relaxed);
+    }
+    let stats = (total.stats > 0).then(|| counters.stats(store, active));
+    for session in staged_sessions {
+        session.resolve(outcome.as_ref(), stats.as_ref());
+    }
+    outcome
 }
 
 /// Stage one coalescible single-op frame: into the merged run if it
@@ -343,7 +443,7 @@ mod tests {
         assert_eq!(run, vec![KvOp::Put(4, 9), KvOp::Get(4)]);
         // "Execute" the run and resolve.
         let outcome = Ok(vec![None, Some(9)]);
-        s.resolve(Some(&outcome), &StatsReply::default());
+        s.resolve(Some(&outcome), None);
         let frames = drain_responses(s.output());
         assert_eq!(frames.len(), 3);
         assert_eq!(frames[0].id, 1);
@@ -397,7 +497,7 @@ mod tests {
             "valid op after an invalid one was dropped"
         );
         let outcome = Ok(vec![None]);
-        s.resolve(Some(&outcome), &StatsReply::default());
+        s.resolve(Some(&outcome), None);
         let frames = drain_responses(s.output());
         assert!(matches!(
             frames[0].resp,
@@ -419,7 +519,7 @@ mod tests {
         s.stage(&mut run);
         assert!(run.is_empty());
         assert!(s.closing());
-        s.resolve(None, &StatsReply::default());
+        s.resolve(None, None);
         let frames = drain_responses(s.output());
         assert_eq!(frames[0].id, 0);
         assert!(matches!(

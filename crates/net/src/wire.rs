@@ -760,15 +760,10 @@ impl FrameBuffer {
         self.start += n.min(self.pending());
     }
 
-    /// Drop all buffered bytes but keep the allocation (for pooling).
+    /// Drop all buffered bytes but keep the allocation.
     pub fn reset(&mut self) {
         self.buf.clear();
         self.start = 0;
-    }
-
-    /// Current allocation size (for pool shrink decisions).
-    pub fn capacity(&self) -> usize {
-        self.buf.capacity()
     }
 
     fn pop<T>(

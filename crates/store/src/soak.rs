@@ -8,7 +8,6 @@
 //! from those objects stay *consistent* while faults are live" — and,
 //! on the naive arm, demonstrates that it does not.
 
-use crate::clock::{Clock, WallClock};
 use crate::kv::{Kv, KvOp, StoreError};
 use crate::metrics::{MetricsSnapshot, StoreMetrics};
 use crate::recover::{RecoverError, RecoveryReport};
@@ -306,34 +305,10 @@ impl<K> DriveOutcome<K> {
 /// nothing) and its error is reported in the outcome. `during` runs
 /// every ~20 ms on the coordinating thread while workers are live —
 /// the soak samples retained log lengths there, E16 ramps fault knobs.
-///
-/// Time is read from a [`WallClock`]; tests and simulators that need
-/// the deadline and latency stamps under their control use
-/// [`drive_clients_with_clock`] directly.
 pub fn drive_clients<K: Kv + Send>(
     clients: Vec<K>,
     mix_cfg: &WorkloadMix,
     deadline: Instant,
-    metrics: &StoreMetrics,
-    during: impl FnMut(),
-) -> DriveOutcome<K> {
-    let clock = WallClock::new();
-    let deadline_nanos = deadline
-        .saturating_duration_since(clock.origin())
-        .as_nanos() as u64;
-    drive_clients_with_clock(&clock, clients, mix_cfg, deadline_nanos, metrics, during)
-}
-
-/// [`drive_clients`] with the time source explicit: every deadline
-/// check and latency stamp goes through `clock`, so a
-/// [`ManualClock`](crate::ManualClock) makes the run's *duration* a
-/// function of what the `during` hook does rather than of wall time.
-/// `deadline_nanos` is an absolute reading on `clock`.
-pub fn drive_clients_with_clock<K: Kv + Send>(
-    clock: &dyn Clock,
-    clients: Vec<K>,
-    mix_cfg: &WorkloadMix,
-    deadline_nanos: u64,
     metrics: &StoreMetrics,
     mut during: impl FnMut(),
 ) -> DriveOutcome<K> {
@@ -349,13 +324,13 @@ pub fn drive_clients_with_clock<K: Kv + Send>(
                 let metrics = &*metrics;
                 scope.spawn(move || {
                     let mut error = None;
-                    'work: while clock.now_nanos() < deadline_nanos {
+                    'work: while Instant::now() < deadline {
                         if batch > 1 {
                             let ops: Vec<KvOp> = (0..batch).map(|_| stream.next_op()).collect();
-                            let start = clock.now_nanos();
+                            let start = Instant::now();
                             match client.batch(&ops) {
                                 Ok(_) => metrics.batches.record_many(
-                                    clock.now_nanos().saturating_sub(start),
+                                    start.elapsed().as_nanos() as u64,
                                     ops.len() as u64,
                                 ),
                                 Err(e) => {
@@ -365,14 +340,14 @@ pub fn drive_clients_with_clock<K: Kv + Send>(
                             }
                         } else {
                             let op = stream.next_op();
-                            let start = clock.now_nanos();
+                            let start = Instant::now();
                             let (result, m) = match op {
                                 KvOp::Get(k) => (client.get(k), &metrics.reads),
                                 KvOp::Put(k, v) => (client.put(k, v), &metrics.writes),
                                 KvOp::Del(k) => (client.del(k), &metrics.deletes),
                             };
                             match result {
-                                Ok(_) => m.record(clock.now_nanos().saturating_sub(start)),
+                                Ok(_) => m.record(start.elapsed().as_nanos() as u64),
                                 Err(e) => {
                                     error = Some(e);
                                     break 'work;
@@ -384,7 +359,7 @@ pub fn drive_clients_with_clock<K: Kv + Send>(
                 })
             })
             .collect();
-        while clock.now_nanos() < deadline_nanos {
+        while Instant::now() < deadline {
             during();
             std::thread::sleep(Duration::from_millis(20));
         }
@@ -551,7 +526,6 @@ pub fn try_run_soak(config: &SoakConfig) -> Result<SoakReport, RecoverError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
 
     #[test]
     fn op_stream_depends_only_on_seed_and_worker() {
@@ -574,42 +548,6 @@ mod tests {
             (70..130).contains(&gets),
             "{gets} GETs of 200 at read_pct 50"
         );
-    }
-
-    #[test]
-    fn manual_clock_controls_drive_deadline_and_stamps() {
-        let store = Arc::new(Store::new(
-            StoreConfig::builder().shards(2).build().unwrap(),
-        ));
-        let metrics = StoreMetrics::default();
-        let clock = ManualClock::new();
-        let mix_cfg = WorkloadMix {
-            read_pct: 50,
-            keyspace: 64,
-            seed: 7,
-            batch: 1,
-        };
-        let clients: Vec<StoreClient> = (0..2).map(|_| store.client()).collect();
-        // Advance the clock only after the workers have demonstrably run
-        // ops, so the loop provably ended because *we* moved time.
-        let outcome = drive_clients_with_clock(&clock, clients, &mix_cfg, 1_000, &metrics, || {
-            if metrics.reads.count() + metrics.writes.count() + metrics.deletes.count() > 100 {
-                clock.set(1_000);
-            }
-        });
-        assert!(outcome.errors.is_empty(), "{:?}", outcome.errors);
-        assert!(
-            metrics.reads.count() + metrics.writes.count() + metrics.deletes.count() > 100,
-            "workers never ran"
-        );
-        // Latency stamps went through the manual clock: no stamp can
-        // exceed the 1 000 simulated nanoseconds the whole run spanned
-        // (an op in flight across the jump sees exactly that), and the
-        // typical op — clock motionless — records zero. The histogram
-        // reports log₂-bucket upper bounds: 0 ns ⇒ 2, ≤1 000 ns ⇒ 1 024.
-        assert!(metrics.reads.latency().quantile(1.0) <= 1_024);
-        assert!(metrics.writes.latency().quantile(1.0) <= 1_024);
-        assert!(metrics.reads.latency().quantile(0.5) <= 2);
     }
 
     #[test]
